@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke experiments examples metrics-smoke monitor-smoke parallel-smoke scaling-gate profile-smoke workloads-smoke federate-smoke lint check clean
+.PHONY: install test bench bench-smoke perfbench-smoke experiments examples metrics-smoke monitor-smoke parallel-smoke scaling-gate profile-smoke workloads-smoke federate-smoke lint check clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -26,7 +26,7 @@ lint:
 	fi
 
 # Umbrella gate: everything CI runs.
-check: lint test metrics-smoke monitor-smoke parallel-smoke scaling-gate profile-smoke workloads-smoke federate-smoke
+check: lint test metrics-smoke monitor-smoke parallel-smoke scaling-gate profile-smoke workloads-smoke federate-smoke perfbench-smoke
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -43,6 +43,18 @@ bench-smoke:
 		benchmarks/baselines/BENCH_baseline.json .bench-smoke.json \
 		--max-slowdown 0
 	rm -f .bench-smoke.json
+
+# End-to-end correctness of the answer path: two short repository
+# benchmark runs that exit nonzero on a wrong answer (exact ground
+# truth), a sharded answer differing from the serial one, or — traced —
+# a layer entered a different number of times than the workload fixes.
+# A stale skim memo or a scan that bypasses point_estimates/bulk_tables
+# fails here.  Timings are not gated.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload standing_queries --seed 1 \
+		--seconds 3 --trace 0
+	$(PYTHON) perfbench/run.py --workload ingest_sharded --seed 1 \
+		--seconds 3 --trace 1
 
 experiments:
 	$(PYTHON) -m repro.eval figure5a figure5b census example1 \

@@ -145,6 +145,13 @@ class SkimmedSketch(StreamSynopsis):
     with ``dyadic=True``); deletions are supported; join estimation skims
     dense frequencies on the fly (the skim operates on a copy, so a sketch
     can keep absorbing updates and answer many queries).
+
+    The last skim is memoized under the wrapped sketch's ``version`` and
+    the threshold, so answering again before the next update re-uses it
+    (a self-join skims once).  A sketch whose counter storage is shared
+    (``counters_view``/``attach_counters``) is never memoized.  The memo
+    is a cache: not serialized, not counted in :meth:`size_in_counters`,
+    not carried by :meth:`copy`/:meth:`merged_with`.
     """
 
     def __init__(self, schema: SkimmedSketchSchema) -> None:
@@ -152,6 +159,9 @@ class SkimmedSketch(StreamSynopsis):
         self._inner: HashSketch | DyadicHashSketch = (
             schema._inner_schema.create_sketch()
         )
+        # (inner version, threshold, skim result, flat residual) of the
+        # last memoizable skim.
+        self._memo: tuple[int, float, SkimResult, HashSketch] | None = None
 
     # -- synopsis contract ---------------------------------------------------
 
@@ -219,13 +229,43 @@ class SkimmedSketch(StreamSynopsis):
 
     def skim(self, threshold: float | None = None) -> tuple[SkimResult, "HashSketch"]:
         """Run SKIMDENSE on a copy; returns the skim and the *flat* residual
-        level-0 sketch (the object join estimation consumes)."""
+        level-0 sketch (the object join estimation consumes).
+
+        The result's arrays are read-only and the residual is the caller's
+        own copy, so neither can alter later answers.
+        """
+        result, residual = self._skim_shared(threshold)
+        return result, residual.copy()
+
+    def _skim_shared(
+        self, threshold: float | None = None
+    ) -> tuple[SkimResult, "HashSketch"]:
+        """:meth:`skim` through the memo; the residual may be the memo's own
+        and must only be read."""
         if threshold is None:
             threshold = self.skim_threshold()
+        version = self._inner.version
+        memo = self._memo
+        if (
+            memo is not None
+            and memo[0] == version
+            and memo[1] == threshold
+            and not self._inner.storage_shared
+        ):
+            return memo[2], memo[3]
         if self._schema.dyadic:
-            result, residual = skim_dense_dyadic(self._inner, threshold)
-            return result, residual.base_sketch
-        return skim_dense(self._inner, threshold)
+            result, hierarchy = skim_dense_dyadic(self._inner, threshold)
+            residual = hierarchy.base_sketch
+        else:
+            result, residual = skim_dense(self._inner, threshold)
+        result.dense_values.flags.writeable = False
+        result.dense_frequencies.flags.writeable = False
+        # Checked after the skim: sharing may begin during it.
+        self._memo = (
+            None if self._inner.storage_shared
+            else (version, threshold, result, residual)
+        )
+        return result, residual
 
     def join_breakdown(
         self, other: "SkimmedSketch", threshold: float | None = None
@@ -248,8 +288,8 @@ class SkimmedSketch(StreamSynopsis):
                 n_f=float(self.absolute_mass),
                 n_g=float(other.absolute_mass),
             ) if _TRACER.enabled else nullcontext():
-                f_skim, f_res = self.skim(threshold)
-                g_skim, g_res = other.skim(threshold)
+                f_skim, f_res = self._skim_shared(threshold)
+                g_skim, g_res = other._skim_shared(threshold)
                 breakdown = est_skim_join_size_from_parts(f_skim, f_res, g_skim, g_res)
         if _AUDIT.enabled:
             _AUDIT.annotate_last(

@@ -138,7 +138,13 @@ def sketch_health(
 
     threshold = default_threshold(inner, sketch.schema.threshold_multiplier)
     if math.isfinite(threshold):
-        skim, skimmed = skim_dense(inner, threshold)
+        # Flat sketches skim through the sketch's memo (same threshold as
+        # the join path), so auditing a query just answered re-uses its
+        # skim; dyadic ones are skimmed flat at their base level here.
+        skim, skimmed = (
+            skim_dense(inner, threshold) if sketch.schema.dyadic
+            else sketch.skim(threshold)
+        )
         dense_count = skim.dense_count
         dense_fraction = skim.dense_mass() / n if n > 0 else 0.0
         residual_linf = residual_infinity_norm(skimmed)

@@ -165,6 +165,18 @@ class DyadicHashSketch(StreamSynopsis):
         """Tracked stream size ``N`` (identical at every level)."""
         return self._levels[0].absolute_mass
 
+    @property
+    def version(self) -> int:
+        """Mutation counter: the sum of the levels' :attr:`HashSketch.version`
+        (every mutation bumps at least one level, so the sum only grows)."""
+        return sum(sketch.version for sketch in self._levels)
+
+    @property
+    def storage_shared(self) -> bool:
+        """True once any level's counter storage was handed out or in; see
+        :attr:`HashSketch.storage_shared`."""
+        return any(sketch.storage_shared for sketch in self._levels)
+
     def update(self, value: int, weight: float = 1.0) -> None:
         """O(depth * log|D|): one counter per table per level."""
         for level, sketch in enumerate(self._levels):
