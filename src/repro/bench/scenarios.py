@@ -207,8 +207,13 @@ def _run_ingest_parallel(params: dict[str, Any]) -> tuple[float, dict[str, Any]]
 
 
 def _ingest_parallel_suites(workers: int) -> dict[str, dict[str, Any]]:
-    """Suite params for one worker count of the ingest.parallel series."""
-    mode = "serial" if workers == 1 else "thread"
+    """Suite params for one worker count of the ingest.parallel series.
+
+    ``workers=1`` runs the serial no-executor path (the ingestor
+    short-circuits), so that record is the honest single-core reference
+    the parallel-scaling gate compares the shm records against.
+    """
+    mode = "serial" if workers == 1 else "shm"
     return {
         "smoke": {
             "n": 50_000,
@@ -233,33 +238,19 @@ def _ingest_parallel_suites(workers: int) -> dict[str, dict[str, Any]]:
     }
 
 
-def _ingest_parallel_shm_suites(workers: int) -> dict[str, dict[str, Any]]:
-    """Suite params for one worker count of the shared-memory series.
-
-    ``workers=1`` runs the serial no-executor path (the ingestor
-    short-circuits), so that record is the honest single-core reference
-    the parallel-scaling gate compares the shm records against.
-    """
-    suites = _ingest_parallel_suites(workers)
-    for params in suites.values():
-        params["mode"] = "serial" if workers == 1 else "shm"
-    return suites
-
-
+_register(
+    "ingest.parallel",
+    "ShardedIngestor serial batch ingest + merge at 1 worker (the "
+    "parallelism-off reference; the scaling curve is ingest.parallel.shm)",
+    _ingest_parallel_suites(1),
+)(_run_ingest_parallel)
 for _workers in (1, 2, 4):
-    _register(
-        "ingest.parallel",
-        "ShardedIngestor batch ingest + exact merge at "
-        f"{_workers} worker(s) (records are keyed by the workers param; "
-        "compare against workers=1 for the scaling curve)",
-        _ingest_parallel_suites(_workers),
-    )(_run_ingest_parallel)
     _register(
         "ingest.parallel.shm",
         "ShardedIngestor shared-memory ingest (zero-copy flush, deferred "
         f"hashing) at {_workers} worker(s); the workers=1 record is the "
         "serial reference the parallel-scaling CI gate compares against",
-        _ingest_parallel_shm_suites(_workers),
+        _ingest_parallel_suites(_workers),
     )(_run_ingest_parallel)
 
 

@@ -12,11 +12,6 @@ messages when a reporting round closes.  Two reporting modes:
   report (the sketch is reset after reporting); the coordinator *adds*
   deltas.  Smaller rounds, but a lost report loses data — the classic
   trade-off, both exact under linearity when delivery holds.
-
-A site can additionally shard its *local* ingestion across workers
-(``parallel_workers`` > 1): each stream's sketch is then wrapped in a
-:class:`~repro.parallel.ShardedIngestor` and merged exactly when a round
-closes.  Reports are bit-identical to serial ingestion either way.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from ..core.estimator import SkimmedSketchSchema
 from ..errors import ParameterError, QueryError
 from ..federate import TelemetryShipper, telemetry_size_in_bytes
 from ..obs import METRICS as _METRICS
-from ..parallel import INGEST_MODES, ShardedIngestor
 from ..profile import RECORDER as _RECORDER
 from ..trace import TRACER as _TRACER
 from .protocol import SketchReport, TraceContext
@@ -52,12 +46,6 @@ class SketchSite:
         Stream names this site observes.
     mode:
         ``"cumulative"`` or ``"delta"`` (see module docstring).
-    parallel_workers:
-        Shard the site's local ingestion across this many workers
-        (default 1 = plain serial sketches, no executors).
-    parallel_mode:
-        :data:`~repro.parallel.INGEST_MODES` strategy used when
-        ``parallel_workers`` > 1.
     telemetry:
         When true the site owns a
         :class:`~repro.federate.TelemetryShipper` (origin
@@ -72,8 +60,6 @@ class SketchSite:
         schema: SkimmedSketchSchema,
         streams: list[str],
         mode: str = "cumulative",
-        parallel_workers: int = 1,
-        parallel_mode: str = "thread",
         telemetry: bool = False,
     ):
         if mode not in REPORT_MODES:
@@ -82,28 +68,10 @@ class SketchSite:
             raise ParameterError("a site must observe at least one stream")
         if len(set(streams)) != len(streams):
             raise ParameterError(f"duplicate stream names in {streams}")
-        if parallel_workers < 1:
-            raise ParameterError(
-                f"parallel_workers must be >= 1, got {parallel_workers}"
-            )
-        if parallel_mode not in INGEST_MODES:
-            raise ParameterError(
-                f"parallel_mode must be one of {INGEST_MODES}, got {parallel_mode!r}"
-            )
         self.name = name
         self.schema = schema
         self.mode = mode
-        self.parallel_workers = parallel_workers
-        self.parallel_mode = parallel_mode
         self._sketches = {stream: schema.create_sketch() for stream in streams}
-        self._ingestors: dict[str, ShardedIngestor] | None = None
-        if parallel_workers > 1:
-            self._ingestors = {
-                stream: ShardedIngestor(
-                    schema, workers=parallel_workers, mode=parallel_mode
-                )
-                for stream in streams
-            }
         self.shipper = TelemetryShipper(f"site.{name}") if telemetry else None
         self._round = 0
 
@@ -123,14 +91,6 @@ class SketchSite:
             raise QueryError(
                 f"site {self.name!r} does not observe stream {stream!r}"
             )
-        if self._ingestors is not None:
-            import numpy as np
-
-            self._ingestors[stream].ingest(
-                np.asarray([value], dtype=np.int64),
-                np.asarray([weight], dtype=np.float64),
-            )
-            return
         self._sketches[stream].update(value, weight)
 
     def observe_bulk(self, stream: str, values, weights=None) -> None:
@@ -139,9 +99,6 @@ class SketchSite:
             raise QueryError(
                 f"site {self.name!r} does not observe stream {stream!r}"
             )
-        if self._ingestors is not None:
-            self._ingestors[stream].ingest(values, weights)
-            return
         self._sketches[stream].update_bulk(values, weights)
 
     def close_round(
@@ -161,9 +118,6 @@ class SketchSite:
         attached to the first report.
         """
         self._round += 1
-        if self._ingestors is not None:
-            for stream, ingestor in self._ingestors.items():
-                self._sketches[stream] = ingestor.merged()
         context_doc = trace_context.as_dict() if trace_context is not None else None
         with _TRACER.span(
             "dist.round", site=self.name, round=self._round, mode=self.mode
@@ -182,9 +136,6 @@ class SketchSite:
                 self._sketches = {
                     stream: self.schema.create_sketch() for stream in self._sketches
                 }
-                if self._ingestors is not None:
-                    for ingestor in self._ingestors.values():
-                        ingestor.reset()
             if sp is not None:
                 sp.set(
                     reports=len(reports),
@@ -211,21 +162,8 @@ class SketchSite:
                 )
         return reports
 
-    def close(self) -> None:
-        """Shut down parallel-ingest executor resources, if any (idempotent)."""
-        if self._ingestors is not None:
-            for ingestor in self._ingestors.values():
-                ingestor.close()
-
-    def __enter__(self) -> "SketchSite":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         return (
             f"SketchSite(name={self.name!r}, streams={self.streams}, "
-            f"mode={self.mode!r}, round={self._round}, "
-            f"parallel_workers={self.parallel_workers})"
+            f"mode={self.mode!r}, round={self._round})"
         )

@@ -246,8 +246,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         summaries = [coordinator.receive_all(batch) for _, batch in batches]
         estimate = coordinator.est_join_size("R", "S")
     finally:
-        for site in sites:
-            site.close()
         obs.disable()
         trace.disable()
 

@@ -6,8 +6,8 @@ sketches built from one schema and merged later by summing counters —
 **exactly**, not approximately.  This package packages that observation
 as infrastructure:
 
-* :class:`ShardedIngestor` — N shard synopses behind one strategy-driven
-  executor (serial / thread pool / per-shard process pool), with
+* :class:`ShardedIngestor` — N shard synopses behind one of two
+  strategies (inline serial / per-shard shared-memory worker), with
   deterministic value partitioning, lazy dirty-flag-cached exact merge,
   and ``parallel.*`` metrics/span instrumentation;
 * :class:`ParallelStreamEngine` — the Figure-1 stream engine with its

@@ -3,7 +3,7 @@
 Prove serial-vs-sharded exactness on a seeded stream (exit 1 on any
 counter or query mismatch)::
 
-    python -m repro.parallel selfcheck --workers 4 --modes thread,process,shm
+    python -m repro.parallel selfcheck --workers 4 --modes serial,shm
 
 Measure ingest throughput as the worker count scales::
 
@@ -24,13 +24,14 @@ import time
 from typing import TYPE_CHECKING
 
 from ..errors import ReproError
+from .shards import INGEST_MODES
 
 if TYPE_CHECKING:
     import numpy as np
 
     from ..sketches.serialize import AnySketch
 
-_DEFAULT_MODES = "serial,thread,process,shm"
+_DEFAULT_MODES = ",".join(INGEST_MODES)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,9 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="1,2,4",
         help="comma-separated worker counts to time (default: 1,2,4)",
     )
-    bench.add_argument(
-        "--mode", default="thread", choices=("serial", "thread", "process", "shm")
-    )
+    bench.add_argument("--mode", default="shm", choices=INGEST_MODES)
     bench.add_argument("--domain", type=int, default=1 << 14)
     bench.add_argument("--elements", type=int, default=200_000)
     bench.add_argument("--batch", type=int, default=8_192)

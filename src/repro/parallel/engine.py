@@ -32,7 +32,7 @@ __all__ = ["ParallelStreamEngine"]
 
 
 class ParallelStreamEngine(StreamEngine):
-    """Stream engine with sharded (optionally multi-process) ingestion.
+    """Stream engine with sharded (optionally shared-memory) ingestion.
 
     Parameters
     ----------
@@ -41,11 +41,12 @@ class ParallelStreamEngine(StreamEngine):
     workers:
         Shards (and executor parallelism) per registered stream.
     mode:
-        ``"serial"`` | ``"thread"`` | ``"process"`` | ``"shm"`` — the
+        ``"serial"`` | ``"shm"`` — the
         :class:`~repro.parallel.ShardedIngestor` execution strategy.
 
     Use as a context manager (or call :meth:`close`) when running
-    executor-backed modes, so worker pools shut down deterministically.
+    ``"shm"``, so worker processes and segments shut down
+    deterministically.
     """
 
     def __init__(
@@ -56,7 +57,7 @@ class ParallelStreamEngine(StreamEngine):
         seed: int = 0,
         attribute_domains: dict[str, int] | None = None,
         workers: int = 2,
-        mode: str = "thread",
+        mode: str = "serial",
     ) -> None:
         super().__init__(
             domain_size,
@@ -114,12 +115,10 @@ class ParallelStreamEngine(StreamEngine):
         Lazy underneath: streams with no new batches since their last
         merge cost nothing (dirty-flag caching in the ingestor).
 
-        In the process-backed modes (``"process"`` / ``"shm"``) the
-        merge also surfaces each worker process's ingest vitals —
-        counters its own (process-local, disabled) singletons would have
-        discarded — into this process's registry as
-        ``parallel.shard.<N>.worker.*``; the shm strategy carries them
-        on the flush ack, no JSON channel involved.
+        In ``"shm"`` mode the merge also surfaces each worker process's
+        ingest vitals — counters its own (process-local, disabled)
+        singletons would have discarded — into this process's registry
+        as ``parallel.shard.<N>.worker.*``; they ride the flush ack.
         """
         for name, ingestor in self._ingestors.items():
             self._streams[name].synopsis = ingestor.merged()

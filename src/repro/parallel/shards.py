@@ -11,23 +11,17 @@ intra-process parallelism).
 
 * ``"serial"`` — no executor; apply each sub-batch inline (the
   parallelism-off reference path, overhead-free by construction);
-* ``"thread"`` — a persistent :class:`concurrent.futures.ThreadPoolExecutor`;
-  shard updates run concurrently in-process (NumPy kernels release the
-  GIL for parts of the work);
-* ``"process"`` — one persistent worker process per shard, fed by a
-  bounded queue (:class:`~repro.parallel.pool.PersistentWorkerPool`).
-  Workers receive a JSON schema spec once (schema-only construction —
-  seeded randomness rebuilds identical hash families), accumulate their
-  shard sketch locally, and ship counters back as serialised state at
-  flush time;
-* ``"shm"`` — the same persistent pool, but each worker scatter-adds
-  into a per-shard ``multiprocessing.shared_memory`` segment the parent
-  has mapped too, so flush ships no counter state at all (zero-copy
-  merge; see :mod:`repro.parallel.shm`).
+* ``"shm"`` — one persistent worker process per shard, fed by a bounded
+  queue (:class:`~repro.parallel.pool.PersistentWorkerPool`).  Workers
+  receive a JSON schema spec once (schema-only construction — seeded
+  randomness rebuilds identical hash families) and scatter-add into a
+  per-shard ``multiprocessing.shared_memory`` segment the parent has
+  mapped too, so flush ships no counter state at all (zero-copy merge;
+  see :mod:`repro.parallel.shm`).
 
-``"serial"`` and ``"thread"`` ingest synchronously; the process-backed
-modes pipeline batches through bounded queues and surface worker
-failures at the next flush/merge barrier.
+``"serial"`` ingests synchronously; ``"shm"`` pipelines batches through
+bounded queues and surfaces worker failures at the next flush/merge
+barrier.
 
 Batches are partitioned by a deterministic multiplicative hash of the
 value, so a given value always lands in the same shard regardless of
@@ -39,8 +33,6 @@ bit-identical to serial ingestion.
 from __future__ import annotations
 
 import json
-import traceback
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import Any, Protocol, Sequence
 
@@ -48,20 +40,13 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..obs import METRICS as _METRICS
-from ..sketches.serialize import (
-    AnySketch,
-    merge_sketch_state,
-    sketch_from_spec,
-    sketch_spec,
-    sketch_state,
-)
+from ..sketches.serialize import AnySketch, sketch_spec
 from ..trace import TRACER as _TRACER
-from .pool import PersistentWorkerPool
 
 __all__ = ["INGEST_MODES", "ShardedIngestor", "partition_batch"]
 
 #: Execution strategies :class:`ShardedIngestor` supports.
-INGEST_MODES = ("serial", "thread", "process", "shm")
+INGEST_MODES = ("serial", "shm")
 
 # Fibonacci-hash multiplier (2**64 / phi): spreads consecutive values
 # uniformly across shards while keeping the value -> shard map pure.
@@ -107,67 +92,6 @@ def partition_batch(
     return parts
 
 
-# -- process-mode worker side --------------------------------------------------
-#
-# Runs inside the shard's persistent worker process.  All state lives in
-# locals of the worker loop — no module-level accumulators — and the
-# pool's shard <-> worker affinity guarantees one loop sees every batch
-# of exactly one shard.  Per-process ingest vitals (the counters the
-# worker's own disabled, process-local observability singletons would
-# discard) ride the collect reply and resurface in the parent as
-# ``parallel.shard.N.*`` metrics (repro.federate's answer to the
-# process-local-singleton caveat).
-
-
-def _worker_main_json(tasks, replies, config: dict) -> None:
-    """Persistent ``"process"``-mode worker: accumulate one shard locally.
-
-    Messages: ``("batch", values, weights)`` fire-and-forget;
-    ``("collect",)`` replies ``(sketch_state | None, stats)`` and clears
-    the local accumulator; ``("reset",)`` just clears; ``("stop",)``
-    exits.  A failed batch parks its traceback and reports it at the
-    next barrier (the pool's pipelined error model).
-    """
-    spec = json.loads(config["spec_json"])
-    sketch: AnySketch | None = None
-    stats = {"worker.batches": 0.0, "worker.elements": 0.0}
-    failure: str | None = None
-    while True:
-        message = tasks.get()
-        kind = message[0]
-        if kind == "stop":
-            replies.put(("ok", None))
-            return
-        if kind == "batch":
-            if failure is not None:
-                continue  # park until the next barrier reports it
-            try:
-                if sketch is None:
-                    sketch = sketch_from_spec(spec)
-                sketch.update_bulk(message[1], message[2])
-                stats["worker.batches"] += 1.0
-                stats["worker.elements"] += float(message[1].size)
-            except Exception:
-                failure = traceback.format_exc()
-            continue
-        # Barrier messages below always get exactly one reply.
-        if failure is not None:
-            replies.put(("error", failure))
-            failure = None
-            continue
-        if kind == "collect":
-            state = None if sketch is None else sketch_state(sketch)
-            replies.put(("ok", (state, stats)))
-            sketch = None
-            stats = {"worker.batches": 0.0, "worker.elements": 0.0}
-        elif kind == "reset":
-            sketch = None
-            stats = {"worker.batches": 0.0, "worker.elements": 0.0}
-            replies.put(("ok", None))
-        else:
-            replies.put(("error", f"unknown message kind {kind!r}"))
-
-
 # -- execution strategies ------------------------------------------------------
 
 
@@ -202,130 +126,6 @@ class _SerialStrategy:
         return shards
 
 
-class _ThreadStrategy:
-    """Persistent thread pool; shard updates run concurrently in-process."""
-
-    def __init__(self, workers: int) -> None:
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-shard"
-        )
-
-    def ingest(
-        self,
-        shards: list[AnySketch],
-        parts: Sequence[tuple[np.ndarray, np.ndarray | None] | None],
-    ) -> None:
-        """Submit one update task per non-empty shard and wait for all."""
-        futures = [
-            self._executor.submit(shards[i].update_bulk, part[0], part[1])
-            for i, part in enumerate(parts)
-            if part is not None
-        ]
-        _collect_results(futures)
-
-    def flush(self, shards: list[AnySketch]) -> list[AnySketch]:
-        """Every batch was awaited at ingest time: shards are current."""
-        return shards
-
-    def reset(self, schema: "_SchemaLike", shards: list[AnySketch]) -> list[AnySketch]:
-        """Fresh shards; threads hold no state between batches."""
-        return [schema.create_sketch() for _ in shards]
-
-    def drain_worker_telemetry(self) -> list[tuple[int, dict[str, float]]]:
-        """Threads share the parent's singletons — nothing to surface."""
-        return []
-
-    def close(self, shards: list[AnySketch]) -> list[AnySketch]:
-        """Shut the pool down (idempotent)."""
-        self._executor.shutdown(wait=True)
-        return shards
-
-
-class _ProcessStrategy:
-    """One shared persistent pool; worker ``i`` accumulates shard ``i``.
-
-    The parent's shard sketches stay empty until :meth:`flush`, which
-    collects each worker's accumulated counters (as serialised state —
-    the JSON channel the shm strategy eliminates) and merges them in.
-    Kept as the portable fallback where ``/dev/shm`` segments are
-    unavailable or domains make the dense accumulator unattractive.
-    """
-
-    def __init__(self, workers: int, spec_json: str) -> None:
-        self._pool = PersistentWorkerPool(
-            workers, _worker_main_json, [{"spec_json": spec_json}] * workers
-        )
-        # shard -> ingest stats collected from the shard's worker process
-        # at flush time, held until the engine drains them.
-        self._pending_stats: dict[int, dict[str, float]] = {}
-        self._strategy_closed = False
-
-    def ingest(
-        self,
-        shards: list[AnySketch],
-        parts: Sequence[tuple[np.ndarray, np.ndarray | None] | None],
-    ) -> None:
-        """Enqueue each shard's sub-batch on its worker (pipelined).
-
-        Returns as soon as every sub-batch is queued; worker failures
-        surface at the next flush barrier.
-        """
-        for worker, part in enumerate(parts):
-            if part is not None:
-                self._pool.submit(worker, ("batch", part[0], part[1]))
-
-    def flush(self, shards: list[AnySketch]) -> list[AnySketch]:
-        """Pull accumulated counters out of every worker and merge.
-
-        Each worker also returns its ingest stats; they accumulate in
-        ``_pending_stats`` until :meth:`drain_worker_telemetry` hands
-        them to the engine (flush can run several times between drains).
-        """
-        if self._strategy_closed:
-            return shards
-        current = list(shards)
-        for i, (state, stats) in enumerate(self._pool.barrier(("collect",))):
-            if state is not None:
-                current[i] = merge_sketch_state(current[i], state)
-            if stats["worker.batches"]:
-                held = self._pending_stats.setdefault(i, {})
-                for key, value in stats.items():
-                    held[key] = held.get(key, 0.0) + value
-        return current
-
-    def reset(self, schema: "_SchemaLike", shards: list[AnySketch]) -> list[AnySketch]:
-        """Discard worker-side accumulators and hand back fresh shards."""
-        if not self._strategy_closed:
-            self._pool.barrier(("reset",))
-        return [schema.create_sketch() for _ in shards]
-
-    def drain_worker_telemetry(self) -> list[tuple[int, dict[str, float]]]:
-        """Hand over (and clear) per-shard worker stats gathered at flush."""
-        drained = sorted(self._pending_stats.items())
-        self._pending_stats = {}
-        return drained
-
-    def close(self, shards: list[AnySketch]) -> list[AnySketch]:
-        """Stop the pooled workers (idempotent)."""
-        if not self._strategy_closed:
-            self._strategy_closed = True
-            self._pool.close()
-        return shards
-
-
-def _collect_results(futures: list["Future[None]"]) -> None:
-    """Wait for every task; re-raise the first failure after all settle."""
-    first_error: BaseException | None = None
-    for future in futures:
-        try:
-            future.result()
-        except BaseException as error:  # propagate DomainError etc. faithfully
-            if first_error is None:
-                first_error = error
-    if first_error is not None:
-        raise first_error
-
-
 # -- the ingestor --------------------------------------------------------------
 
 
@@ -342,8 +142,8 @@ class ShardedIngestor:
         Number of shards (= executor parallelism).  ``workers=1`` always
         uses the serial no-executor path regardless of ``mode``.
     mode:
-        ``"serial"`` | ``"thread"`` | ``"process"`` | ``"shm"`` — see
-        the module docstring for the trade-offs.
+        ``"serial"`` | ``"shm"`` — see the module docstring for the
+        trade-offs.
 
     The merged synopsis is computed lazily (:meth:`merged`) and cached
     behind a dirty flag, so interleaving ingestion and queries only pays
@@ -351,7 +151,7 @@ class ShardedIngestor:
     """
 
     def __init__(
-        self, schema: _SchemaLike, workers: int = 1, mode: str = "thread"
+        self, schema: _SchemaLike, workers: int = 1, mode: str = "serial"
     ) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
@@ -361,7 +161,7 @@ class ShardedIngestor:
             )
         self._schema = schema
         self._workers = workers
-        self._mode = mode
+        self._mode = "serial" if workers == 1 else mode
         self._shards: list[AnySketch] = [
             schema.create_sketch() for _ in range(workers)
         ]
@@ -373,16 +173,12 @@ class ShardedIngestor:
         self._elements = 0
 
     def _make_strategy(self) -> Any:
-        if self._workers == 1 or self._mode == "serial":
+        if self._mode == "serial":
             return _SerialStrategy()
-        if self._mode == "thread":
-            return _ThreadStrategy(self._workers)
-        spec_json = json.dumps(sketch_spec(self._shards[0]), sort_keys=True)
-        if self._mode == "shm":
-            from .shm import _SharedMemoryStrategy
+        from .shm import _SharedMemoryStrategy
 
-            return _SharedMemoryStrategy(self._workers, self._shards, spec_json)
-        return _ProcessStrategy(self._workers, spec_json)
+        spec_json = json.dumps(sketch_spec(self._shards[0]), sort_keys=True)
+        return _SharedMemoryStrategy(self._workers, self._shards, spec_json)
 
     @property
     def workers(self) -> int:
@@ -391,7 +187,8 @@ class ShardedIngestor:
 
     @property
     def mode(self) -> str:
-        """The execution strategy name this ingestor runs."""
+        """The execution strategy name this ingestor runs (``"serial"``
+        at one worker, whatever mode was requested)."""
         return self._mode
 
     @property
@@ -409,10 +206,10 @@ class ShardedIngestor:
     ) -> None:
         """Partition one batch across the shards and apply it.
 
-        ``"serial"``/``"thread"`` apply sub-batches synchronously; the
-        process-backed modes pipeline them through bounded queues, so a
-        bad value aborts the offending shard's whole sub-batch at the
-        next flush/merge barrier rather than here.  Weight validation
+        ``"serial"`` applies sub-batches synchronously; ``"shm"``
+        pipelines them through bounded queues, so a bad value aborts the
+        offending shard's whole sub-batch at the next flush/merge
+        barrier rather than here.  Weight validation
         follows ``update_bulk``.
         """
         if self._closed:
@@ -447,8 +244,8 @@ class ShardedIngestor:
     def merged(self) -> AnySketch:
         """The exact merged synopsis of everything ingested so far.
 
-        Lazy and cached: the counter sum (and, in ``"process"`` mode, the
-        worker collect) only happens when new batches arrived since the
+        Lazy and cached: the counter sum (and, in ``"shm"`` mode, the
+        worker flush) only happens when new batches arrived since the
         last call.  With ``workers=1`` this is the live shard itself —
         zero merge cost, the parallelism-off reference path.
         """
@@ -473,8 +270,7 @@ class ShardedIngestor:
     def drain_worker_telemetry(self) -> list[tuple[int, dict[str, float]]]:
         """Per-shard ingest stats collected from worker processes.
 
-        Non-empty only in the process-backed modes (``"process"`` /
-        ``"shm"``) after a flush (``merged()`` / ``reset()`` /
+        Non-empty only in ``"shm"`` mode after a flush (``merged()`` / ``reset()`` /
         ``close()``): each entry is ``(shard_index, {"worker.batches":
         ..., "worker.elements": ...})`` — the vitals the worker's
         process-local singletons couldn't publish.  Draining clears the

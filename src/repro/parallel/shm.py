@@ -9,7 +9,7 @@ views over the same segment through the ``counters_view()`` /
 ``attach_counters()`` seam, so worker scatter-adds land directly in
 memory the parent's ``merged()`` sums — a flush ships only a few floats
 of tracked mass plus the worker's ingest vitals over the reply queue,
-never counter state (contrast ``"process"`` mode's JSON round-trip).
+never counter state.
 
 Throughput model (why this wins even on a single core): each worker
 owns its value partition exclusively, so it accumulates the shard's

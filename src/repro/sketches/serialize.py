@@ -42,6 +42,42 @@ class SerializationError(ReproError):
     """The archive is missing, malformed, or of an unknown kind/version."""
 
 
+#: Every integer field must fit in an int64 (domain values are int64).
+_INT64_LIMIT = 1 << 63
+
+
+def _int_field(state: dict[str, Any], key: str) -> int:
+    """``state[key]`` as an int in ``[0, 2**63)``, else SerializationError."""
+    value = state.get(key)
+    if (
+        isinstance(value, (bool, np.bool_))
+        or not isinstance(value, (int, np.integer))
+        or not 0 <= value < _INT64_LIMIT
+    ):
+        raise SerializationError(
+            f"field {key!r} must be an integer in [0, 2**63), got {value!r}"
+        )
+    return int(value)
+
+
+def _float_field(
+    state: dict[str, Any], key: str, minimum: float | None = None
+) -> float:
+    """``state[key]`` as a finite float (``>= minimum`` if given)."""
+    value = state.get(key)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise SerializationError(f"field {key!r} must be a number, got {value!r}")
+    number = float(value)
+    if not np.isfinite(number) or (minimum is not None and number < minimum):
+        bound = "" if minimum is None else f" and >= {minimum:g}"
+        raise SerializationError(
+            f"field {key!r} must be finite{bound}, got {number!r}"
+        )
+    return number
+
+
 def _schema_fields(sketch: AnySketch) -> dict[str, Any]:
     """Common schema parameters shared by all sketch kinds."""
     schema = sketch.schema
@@ -99,10 +135,10 @@ def sketch_state(sketch: AnySketch) -> dict[str, Any]:
 
 def _restore_hash(state: dict[str, Any]) -> HashSketch:
     schema = HashSketchSchema(
-        int(state["width"]),
-        int(state["depth"]),
-        int(state["domain_size"]),
-        seed=int(state["seed"]),
+        _int_field(state, "width"),
+        _int_field(state, "depth"),
+        _int_field(state, "domain_size"),
+        seed=_int_field(state, "seed"),
     )
     sketch = schema.create_sketch()
     counters = np.asarray(state["counters"], dtype=np.float64)
@@ -112,16 +148,18 @@ def _restore_hash(state: dict[str, Any]) -> HashSketch:
             f"({schema.depth}, {schema.width})"
         )
     sketch._counters = counters  # noqa: SLF001
-    sketch._absolute_mass = float(state["absolute_mass"])  # noqa: SLF001
+    sketch._absolute_mass = _float_field(  # noqa: SLF001
+        state, "absolute_mass", minimum=0.0
+    )
     return sketch
 
 
 def _restore_agms(state: dict[str, Any]) -> AGMSSketch:
     schema = AGMSSchema(
-        int(state["averaging"]),
-        int(state["median"]),
-        int(state["domain_size"]),
-        seed=int(state["seed"]),
+        _int_field(state, "averaging"),
+        _int_field(state, "median"),
+        _int_field(state, "domain_size"),
+        seed=_int_field(state, "seed"),
     )
     sketch = schema.create_sketch()
     counters = np.asarray(state["counters"], dtype=np.float64)
@@ -131,19 +169,21 @@ def _restore_agms(state: dict[str, Any]) -> AGMSSketch:
             f"({schema.median}, {schema.averaging})"
         )
     sketch._atomic = counters  # noqa: SLF001
-    sketch._absolute_mass = float(state["absolute_mass"])  # noqa: SLF001
+    sketch._absolute_mass = _float_field(  # noqa: SLF001
+        state, "absolute_mass", minimum=0.0
+    )
     return sketch
 
 
 def _restore_dyadic(state: dict[str, Any]) -> DyadicHashSketch:
     schema = DyadicSketchSchema(
-        int(state["width"]),
-        int(state["depth"]),
-        int(state["domain_size"]),
-        seed=int(state["seed"]),
-        coarse_cutoff=int(state["coarse_cutoff"]),
+        _int_field(state, "width"),
+        _int_field(state, "depth"),
+        _int_field(state, "domain_size"),
+        seed=_int_field(state, "seed"),
+        coarse_cutoff=_int_field(state, "coarse_cutoff"),
     )
-    if schema.num_levels != int(state["num_levels"]):
+    if schema.num_levels != _int_field(state, "num_levels"):
         raise SerializationError(
             f"archive has {state['num_levels']} levels, schema rebuilds "
             f"{schema.num_levels}"
@@ -154,18 +194,20 @@ def _restore_dyadic(state: dict[str, Any]) -> DyadicHashSketch:
         inner._counters = np.asarray(  # noqa: SLF001
             state[f"counters_{level}"], dtype=np.float64
         )
-        inner._absolute_mass = float(state[f"absolute_mass_{level}"])  # noqa: SLF001
+        inner._absolute_mass = _float_field(  # noqa: SLF001
+            state, f"absolute_mass_{level}", minimum=0.0
+        )
     return sketch
 
 
 def _restore_skimmed(state: dict[str, Any]) -> SkimmedSketch:
     schema = SkimmedSketchSchema(
-        int(state["width"]),
-        int(state["depth"]),
-        int(state["domain_size"]),
-        seed=int(state["seed"]),
+        _int_field(state, "width"),
+        _int_field(state, "depth"),
+        _int_field(state, "domain_size"),
+        seed=_int_field(state, "seed"),
         dyadic=str(state["inner_kind"]) == _KIND_DYADIC,
-        threshold_multiplier=float(state["threshold_multiplier"]),
+        threshold_multiplier=_float_field(state, "threshold_multiplier"),
     )
     sketch = schema.create_sketch()
     inner_state = dict(state)
@@ -176,7 +218,7 @@ def _restore_skimmed(state: dict[str, Any]) -> SkimmedSketch:
 
 def sketch_from_state(state: dict[str, Any]) -> AnySketch:
     """Rebuild a sketch (schema included) from :func:`sketch_state` output."""
-    version = int(state.get("version", -1))
+    version = _int_field(state, "version")
     if version != FORMAT_VERSION:
         raise SerializationError(f"unsupported archive version {version}")
     kind = str(state.get("kind", ""))
@@ -197,8 +239,7 @@ def sketch_spec(sketch: AnySketch) -> dict[str, Any]:
     A spec is tiny and JSON-safe, which makes it the right thing to ship
     to worker processes: the worker rebuilds an *empty* join-compatible
     sketch via :func:`sketch_from_spec` (seeded randomness makes the hash
-    families identical) and accumulates locally — only counter state ever
-    travels back.
+    families identical) and accumulates locally.
     """
     if isinstance(sketch, HashSketch):
         return {**_schema_fields(sketch), "kind": _KIND_HASH}
@@ -230,33 +271,33 @@ def sketch_spec(sketch: AnySketch) -> dict[str, Any]:
 
 def sketch_from_spec(spec: dict[str, Any]) -> AnySketch:
     """Build a fresh *empty* sketch from :func:`sketch_spec` output."""
-    version = int(spec.get("version", -1))
+    version = _int_field(spec, "version")
     if version != FORMAT_VERSION:
         raise SerializationError(f"unsupported spec version {version}")
     kind = str(spec.get("kind", ""))
     if kind == _KIND_HASH:
         return HashSketchSchema(
-            int(spec["width"]),
-            int(spec["depth"]),
-            int(spec["domain_size"]),
-            seed=int(spec["seed"]),
+            _int_field(spec, "width"),
+            _int_field(spec, "depth"),
+            _int_field(spec, "domain_size"),
+            seed=_int_field(spec, "seed"),
         ).create_sketch()
     if kind == _KIND_AGMS:
         return AGMSSchema(
-            int(spec["averaging"]),
-            int(spec["median"]),
-            int(spec["domain_size"]),
-            seed=int(spec["seed"]),
+            _int_field(spec, "averaging"),
+            _int_field(spec, "median"),
+            _int_field(spec, "domain_size"),
+            seed=_int_field(spec, "seed"),
         ).create_sketch()
     if kind == _KIND_DYADIC:
         schema = DyadicSketchSchema(
-            int(spec["width"]),
-            int(spec["depth"]),
-            int(spec["domain_size"]),
-            seed=int(spec["seed"]),
-            coarse_cutoff=int(spec["coarse_cutoff"]),
+            _int_field(spec, "width"),
+            _int_field(spec, "depth"),
+            _int_field(spec, "domain_size"),
+            seed=_int_field(spec, "seed"),
+            coarse_cutoff=_int_field(spec, "coarse_cutoff"),
         )
-        if schema.num_levels != int(spec["num_levels"]):
+        if schema.num_levels != _int_field(spec, "num_levels"):
             raise SerializationError(
                 f"spec has {spec['num_levels']} levels, schema rebuilds "
                 f"{schema.num_levels}"
@@ -264,12 +305,12 @@ def sketch_from_spec(spec: dict[str, Any]) -> AnySketch:
         return schema.create_sketch()
     if kind == _KIND_SKIMMED:
         return SkimmedSketchSchema(
-            int(spec["width"]),
-            int(spec["depth"]),
-            int(spec["domain_size"]),
-            seed=int(spec["seed"]),
+            _int_field(spec, "width"),
+            _int_field(spec, "depth"),
+            _int_field(spec, "domain_size"),
+            seed=_int_field(spec, "seed"),
             dyadic=str(spec["inner_kind"]) == _KIND_DYADIC,
-            threshold_multiplier=float(spec["threshold_multiplier"]),
+            threshold_multiplier=_float_field(spec, "threshold_multiplier"),
         ).create_sketch()
     raise SerializationError(f"unknown sketch kind {kind!r}")
 

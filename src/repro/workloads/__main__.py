@@ -176,7 +176,7 @@ def _cmd_selfcheck(workers: int) -> int:
     instance = build_workload("delete_churn", seed=0)
     serial = run_workload(instance)
     instance = build_workload("delete_churn", seed=0)
-    sharded = run_workload(instance, workers=workers, mode="thread")
+    sharded = run_workload(instance, workers=workers)
     check(
         f"delete_churn: serial == sharded({workers}) audited record",
         serial == sharded,

@@ -47,14 +47,13 @@ def run_workload(
     depth: int = DEFAULT_DEPTH,
     engine_seed: int = DEFAULT_ENGINE_SEED,
     workers: int | None = None,
-    mode: str = "thread",
 ) -> dict[str, Any]:
     """Run one workload fully audited; return its ACCURACY record.
 
     ``workers=None`` uses the serial :class:`StreamEngine`; an integer
-    runs the same workload through :class:`ParallelStreamEngine` with
-    that many shards (answers are bit-identical by linearity — the
-    selfcheck CLI proves it).
+    runs the same workload through a shared-memory
+    :class:`ParallelStreamEngine` with that many shards (answers are
+    bit-identical by linearity — the selfcheck CLI proves it).
     """
     # Imported lazily so ``python -m repro.workloads list`` works without
     # numpy (mirroring the repro.bench scenario contract).
@@ -79,7 +78,7 @@ def run_workload(
             synopsis="skimmed",
             seed=engine_seed,
             workers=workers,
-            mode=mode,
+            mode="shm",
         )
         engine = parallel_engine
         closer = parallel_engine.close
@@ -160,7 +159,6 @@ def run_suite(
     depth: int = DEFAULT_DEPTH,
     engine_seed: int = DEFAULT_ENGINE_SEED,
     workers: int | None = None,
-    mode: str = "thread",
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, Any]:
     """Run every corpus family in ``suite``; return an ACCURACY document."""
@@ -182,7 +180,6 @@ def run_suite(
                 depth=depth,
                 engine_seed=engine_seed,
                 workers=workers,
-                mode=mode,
             )
         )
     return validate_accuracy(
@@ -198,7 +195,7 @@ def run_suite(
                 "seed": engine_seed,
                 "delta": AUDIT.delta,
                 "workers": workers,
-                "mode": mode if workers is not None else None,
+                "mode": "shm" if workers is not None else None,
             },
             "records": records,
         }

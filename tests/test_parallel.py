@@ -124,8 +124,8 @@ class TestShardedIngestorExactness:
         batches = seeded_batches()
         values = np.concatenate([v for v, _ in batches])
         weights = np.concatenate([w for _, w in batches])
-        with ShardedIngestor(schema, workers=4, mode="thread") as chunked, \
-                ShardedIngestor(schema, workers=4, mode="thread") as whole:
+        with ShardedIngestor(schema, workers=4, mode="shm") as chunked, \
+                ShardedIngestor(schema, workers=4, mode="shm") as whole:
             for v, w in batches:
                 chunked.ingest(v, w)
             whole.ingest(values, weights)
@@ -164,6 +164,9 @@ class TestShardedIngestorBehaviour:
         assert ingestor.batches_ingested == 1
         assert ingestor.elements_ingested == 100
         assert "workers=2" in repr(ingestor)
+        with ShardedIngestor(schema, workers=1, mode="shm") as single:
+            assert single.mode == "serial"
+            assert "mode='serial'" in repr(single)
 
     def test_reset_drops_everything(self):
         schema = HashSketchSchema(64, 3, DOMAIN, seed=1)
@@ -179,7 +182,7 @@ class TestShardedIngestorBehaviour:
         values, weights = seeded_batches(n=400, batches=1)[0]
         serial = schema.create_sketch()
         serial.update_bulk(values, weights)
-        ingestor = ShardedIngestor(schema, workers=2, mode="thread")
+        ingestor = ShardedIngestor(schema, workers=2, mode="serial")
         ingestor.ingest(values, weights)
         ingestor.close()
         assert states_equal(ingestor.merged(), serial)
@@ -188,8 +191,9 @@ class TestShardedIngestorBehaviour:
         schema = HashSketchSchema(64, 3, DOMAIN, seed=1)
         with pytest.raises(ParameterError):
             ShardedIngestor(schema, workers=0)
-        with pytest.raises(ParameterError):
-            ShardedIngestor(schema, workers=2, mode="fork")
+        for mode in ("fork", "thread", "process"):
+            with pytest.raises(ParameterError):
+                ShardedIngestor(schema, workers=2, mode=mode)
         ingestor = ShardedIngestor(schema, workers=2, mode="serial")
         with pytest.raises(ParameterError):
             ingestor.ingest(
@@ -198,7 +202,7 @@ class TestShardedIngestorBehaviour:
 
 
 class TestParallelStreamEngine:
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("mode", INGEST_MODES)
     def test_answers_match_serial_engine(self, mode):
         serial = StreamEngine(DOMAIN, PARAMS, synopsis="skimmed", seed=5)
         batches = seeded_batches()
@@ -247,8 +251,9 @@ class TestParallelStreamEngine:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ParameterError):
             ParallelStreamEngine(DOMAIN, PARAMS, workers=0)
-        with pytest.raises(ParameterError):
-            ParallelStreamEngine(DOMAIN, PARAMS, mode="fibers")
+        for mode in ("fibers", "thread", "process"):
+            with pytest.raises(ParameterError):
+                ParallelStreamEngine(DOMAIN, PARAMS, mode=mode)
 
 
 class TestAdversarialMetamorphic:
@@ -312,7 +317,7 @@ class TestAdversarialMetamorphic:
                 in_order.synopsis_for(name), permuted.synopsis_for(name)
             )
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process", "shm"])
+    @pytest.mark.parametrize("mode", INGEST_MODES)
     def test_rechunking_adversarial_stream_is_exact_per_mode(self, mode):
         instance = self._instance("delete_churn", self.CHURN_PARAMS)
         values = np.concatenate(
@@ -330,7 +335,7 @@ class TestAdversarialMetamorphic:
                 fine.ingest(values[chunk], weights[chunk])
             assert states_equal(coarse.merged(), fine.merged())
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("mode", INGEST_MODES)
     def test_permuted_ingest_matches_serial_engine_answers(self, mode):
         instance = self._instance("delete_churn", self.CHURN_PARAMS)
         serial = self._engine_with_batches(instance, instance.batches)
@@ -367,7 +372,7 @@ class TestCli:
                 "--workers",
                 "2",
                 "--modes",
-                "serial,thread",
+                "serial,shm",
                 "--elements",
                 "2000",
                 "--domain",
@@ -396,12 +401,12 @@ class TestCli:
 
 
 class TestWorkerTelemetry:
-    """Process-mode workers surface their ingest vitals at flush time.
+    """Shm-mode workers surface their ingest vitals at flush time.
 
     Worker processes run with their own (disabled) observability
-    singletons, so their counters would silently vanish; the federation
-    PR routes them back with the sketch state and merges them into the
-    parent registry as ``parallel.shard.<N>.worker.*``.
+    singletons, so their counters would silently vanish; the flush ack
+    carries them back and the engine merges them into the parent
+    registry as ``parallel.shard.<N>.worker.*``.
     """
 
     def _ingest(self, engine, rng, n=4000, batches=4):
@@ -411,7 +416,7 @@ class TestWorkerTelemetry:
             engine.process_bulk("f", chunk, None)
         return n
 
-    @pytest.mark.parametrize("mode", ["process", "shm"])
+    @pytest.mark.parametrize("mode", ["shm"])
     def test_process_mode_flush_surfaces_worker_counters(self, mode, rng):
         from repro.obs import METRICS
 
@@ -436,7 +441,7 @@ class TestWorkerTelemetry:
         ]
         assert sum(batches) >= 1.0
 
-    @pytest.mark.parametrize("mode", ["process", "shm"])
+    @pytest.mark.parametrize("mode", ["shm"])
     def test_flush_drains_even_while_disabled(self, mode, rng):
         from repro.obs import METRICS
 
@@ -458,7 +463,7 @@ class TestWorkerTelemetry:
         )
         assert elements == 3.0
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("mode", ["serial"])
     def test_in_process_modes_have_no_worker_telemetry(self, mode, rng):
         from repro.obs import METRICS
 

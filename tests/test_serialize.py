@@ -191,6 +191,29 @@ class TestErrors:
         with pytest.raises(SerializationError):
             sketch_from_state(state)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("absolute_mass", float("nan")),
+            ("absolute_mass", -1.0),
+            ("threshold_multiplier", float("nan")),
+            ("width", "abc"),
+            ("depth", 2.5),
+            ("seed", None),
+            ("domain_size", 2**70),
+        ],
+    )
+    def test_bad_field_raises_serialization_error(self, field, bad):
+        """Malformed fields fail typed in both decoders, never raw."""
+        sketch = SkimmedSketchSchema(16, 3, DOMAIN, seed=2).create_sketch()
+        for decode, document in (
+            (sketch_from_state, sketch_state(sketch)),
+            (sketch_from_spec, sketch_spec(sketch)),
+        ):
+            if field in document:
+                with pytest.raises(SerializationError, match=field):
+                    decode({**document, field: bad})
+
     def test_garbage_archive_rejected(self):
         with pytest.raises(SerializationError):
             load_sketch(io.BytesIO(b"not an npz archive"))

@@ -327,8 +327,7 @@ class TestHarness:
     def test_serial_and_sharded_records_match(self):
         serial = run_workload(small_workload("skew_drift"), width=64, depth=5)
         sharded = run_workload(
-            small_workload("skew_drift"), width=64, depth=5,
-            workers=2, mode="thread",
+            small_workload("skew_drift"), width=64, depth=5, workers=2
         )
         assert serial == sharded
 
