@@ -6,16 +6,15 @@ Section 4.3), sign families must be four-wise independent, per-element
 update cost must stay ``O(depth)`` — which in this repo means vectorised
 numpy kernels with explicit dtypes, never Python-level per-element
 loops.  This package makes those conventions machine-checked: a
-dependency-free (stdlib ``ast``) rule engine, a CLI, and eleven rules:
+dependency-free (stdlib ``ast``) rule engine, a CLI, and nine rules:
 
 * **R1** — explicit ``dtype`` in kernel array construction;
 * **R2** — no per-element Python loops in kernel hot paths;
-* **R3** — ``_METRICS`` recording guarded by the ``enabled`` flag;
+* **R3** — instrumentation (metrics, spans, profiler, audit, telemetry
+  capture) guarded by an ``enabled`` flag that covers it;
 * **R4** — sketch randomness constructed via ``*Schema`` objects only;
 * **R5** — library errors derive from ``repro.errors``;
 * **R6** — RNGs constructed with explicit seeds;
-* **R7** — ``_TRACER`` span recording guarded by the ``enabled`` flag;
-* **R8** — estimator entry points audited by the monitor plane;
 * **R9** — counter mutations flow through the sanctioned linear
   primitives (interprocedural, over the project call graph);
 * **R10** — worker-plane code never writes coordinator/module state
@@ -39,7 +38,8 @@ Run it::
 
 Suppress a deliberate exception with ``# repro: noqa[R1]`` plus a
 reason comment on the finding's line (the ``suppressions`` subcommand
-audits every site and ``--strict`` rejects reason-less ones).  Full
+audits every site and ``--strict`` rejects reason-less ones and ones
+naming an unregistered rule id).  Full
 rule catalogue: ``docs/STATIC_ANALYSIS.md``.
 
 Like :mod:`repro.obs`, this package imports **only the standard

@@ -79,7 +79,7 @@ def build_suppressions_parser() -> argparse.ArgumentParser:
         description=(
             "Audit every '# repro: noqa' site: rule(s), git-blame age, and "
             "the reason comment.  With --strict, reason-less suppressions "
-            "fail the run (exit 1)."
+            "and ones naming an unregistered rule id fail the run (exit 1)."
         ),
     )
     parser.add_argument(
@@ -91,7 +91,7 @@ def build_suppressions_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="exit 1 if any suppression lacks a reason comment",
+        help="exit 1 if any suppression lacks a reason or names an unknown rule",
     )
     parser.add_argument(
         "--json",
@@ -116,7 +116,7 @@ def _write_artifact(path: str, payload: dict[str, object]) -> None:
 
 
 def _suppressions_main(argv: Sequence[str]) -> int:
-    from .suppress import audit
+    from .suppress import audit, unknown_rules
 
     parser = build_suppressions_parser()
     args = parser.parse_args(argv)
@@ -149,6 +149,12 @@ def _suppressions_main(argv: Sequence[str]) -> int:
     else:
         for suppression in suppressions:
             print(suppression.render())
+            for rule_id in unknown_rules(suppression):
+                print(
+                    f"{suppression.path}:{suppression.line}: unknown rule "
+                    f"id {rule_id}",
+                    file=sys.stderr,
+                )
         reasonless = sum(1 for s in suppressions if not s.reason)
         print(
             f"{len(suppressions)} suppression(s), {reasonless} without a reason",

@@ -9,13 +9,9 @@ from . import (  # noqa: F401  (imported for their registration side effect)
     r4_randomness,
     r5_errors,
     r6_rng,
-    r7_tracing,
-    r8_audit,
     r9_linearity,
     r10_concurrency,
     r11_dtypeflow,
-    r12_profiling,
-    r13_federation,
 )
 
 __all__ = [
@@ -25,11 +21,7 @@ __all__ = [
     "r4_randomness",
     "r5_errors",
     "r6_rng",
-    "r7_tracing",
-    "r8_audit",
     "r9_linearity",
     "r10_concurrency",
     "r11_dtypeflow",
-    "r12_profiling",
-    "r13_federation",
 ]

@@ -3,8 +3,9 @@
 A suppression is technical debt with a justification attached; this
 module makes both visible.  ``python -m repro.analysis suppressions``
 lists every site; ``--strict`` (wired into ``make lint``) fails the
-build when any suppression lacks a reason comment, so debt cannot
-accumulate silently.
+build when any suppression lacks a reason comment or names a rule id
+that is not registered (a retired id would otherwise go stale
+silently), so debt cannot accumulate unseen.
 
 Syntax audited (the text after the bracket is the reason)::
 
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .context import _NOQA_RE
-from .engine import iter_python_files
+from .engine import PARSE_ERROR_RULE, iter_python_files
+from .registry import all_rules
 
 #: Reason text: whatever follows the noqa marker, minus separator dashes.
 _REASON_RE = re.compile(r"^[\s:,-]*(?P<reason>.*?)\s*$")
@@ -143,11 +145,18 @@ def collect_suppressions(
     return out
 
 
+def unknown_rules(suppression: Suppression) -> tuple[str, ...]:
+    """Rule ids a suppression names that no registered rule carries."""
+    known = {rule.rule_id for rule in all_rules()} | {PARSE_ERROR_RULE}
+    return tuple(r for r in suppression.rules if r not in known)
+
+
 def audit(
     paths: Sequence[str], strict: bool = False, with_age: bool = True
 ) -> tuple[list[Suppression], int]:
-    """Collect suppressions; exit code 1 iff strict and any is reason-less."""
+    """Collect suppressions; exit code 1 iff strict and any is reason-less
+    or names an unregistered rule id."""
     suppressions = collect_suppressions(paths, with_age=with_age)
-    reasonless = [s for s in suppressions if not s.reason]
-    exit_code = 1 if (strict and reasonless) else 0
+    bad = [s for s in suppressions if not s.reason or unknown_rules(s)]
+    exit_code = 1 if (strict and bad) else 0
     return suppressions, exit_code

@@ -120,6 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         profiling = bool(args.profile_out or args.timeseries_out)
         if profiling:
+            from ..obs import METRICS
             from ..profile import (
                 PROFILER,
                 RECORDER,
@@ -131,6 +132,8 @@ def main(argv: list[str] | None = None) -> int:
                 PROFILER.reset()
                 PROFILER.start()
             if args.timeseries_out:
+                # Frames are windows over the registry's counters.
+                METRICS.enable()
                 RECORDER.reset()
                 RECORDER.start()
         try:
@@ -143,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
             if profiling:
                 PROFILER.stop()
                 RECORDER.stop()
+                if args.timeseries_out:
+                    METRICS.disable()
         if profiling:
             try:
                 if args.profile_out:

@@ -27,8 +27,7 @@ import numpy as np
 
 from ..errors import IncompatibleSketchError, ParameterError
 from ..monitor import AUDIT as _AUDIT
-from ..obs import METRICS as _METRICS
-from ..trace import TRACER as _TRACER
+from ..obs import OBS as _OBS
 from ..sketches.base import StreamSynopsis
 from ..sketches.dyadic import DyadicHashSketch, DyadicSketchSchema
 from ..sketches.hash_sketch import HashSketch, HashSketchSchema
@@ -277,20 +276,17 @@ class SkimmedSketch(StreamSynopsis):
         own ``c * N / sqrt(width)``.
         """
         self._check_compatible(other)
-        with _METRICS.timer(
-            "estimate.skim_join.seconds"
-        ) if _METRICS.enabled else nullcontext():
-            with _TRACER.span(
-                "estimate.skim_join",
-                s1=self._schema.width,
-                s2=self._schema.depth,
-                dyadic=self._schema.dyadic,
-                n_f=float(self.absolute_mass),
-                n_g=float(other.absolute_mass),
-            ) if _TRACER.enabled else nullcontext():
-                f_skim, f_res = self._skim_shared(threshold)
-                g_skim, g_res = other._skim_shared(threshold)
-                breakdown = est_skim_join_size_from_parts(f_skim, f_res, g_skim, g_res)
+        with _OBS.span(
+            "estimate.skim_join",
+            s1=self._schema.width,
+            s2=self._schema.depth,
+            dyadic=self._schema.dyadic,
+            n_f=float(self.absolute_mass),
+            n_g=float(other.absolute_mass),
+        ) if _OBS.enabled else nullcontext():
+            f_skim, f_res = self._skim_shared(threshold)
+            g_skim, g_res = other._skim_shared(threshold)
+            breakdown = est_skim_join_size_from_parts(f_skim, f_res, g_skim, g_res)
         if _AUDIT.enabled:
             _AUDIT.annotate_last(
                 n_f=float(self.absolute_mass),

@@ -32,8 +32,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..monitor.audit import RESIDUAL_BOUND_FACTOR
-from ..obs import METRICS as _METRICS
-from ..trace import TRACER as _TRACER
+from ..obs import METRICS as _METRICS, OBS as _OBS
 from ..sketches.dyadic import DyadicHashSketch
 from ..sketches.hash_sketch import HashSketch
 from ..streams.model import FrequencyVector
@@ -192,23 +191,21 @@ def skim_dense(
     # ``precompute(domain)`` table cache exists for, and repeated skims
     # should not re-pay the polynomial evaluation.
     target.schema.ensure_precomputed()
-    with _METRICS.timer("skim.seconds") if _METRICS.enabled else nullcontext():
-        with _TRACER.span(
-            "skim",
-            kind="flat",
-            threshold=float(threshold),
-            n=float(sketch.absolute_mass),
-        ) if _TRACER.enabled else nullcontext() as sp:
-            estimates = target.all_point_estimates()
-            dense_mask = estimates >= threshold
-            dense_values = np.flatnonzero(dense_mask).astype(np.int64)
-            dense_frequencies = estimates[dense_mask]
-            if dense_values.size:
-                target.subtract_frequencies(dense_values, dense_frequencies)
-            if sp is not None:
-                sp.set(dense=int(dense_values.size))
-    if _METRICS.enabled:
-        _record_skim_metrics("flat", threshold, int(dense_values.size))
+    with _OBS.span(
+        "skim",
+        kind="flat",
+        threshold=float(threshold),
+        n=float(sketch.absolute_mass),
+    ) if _OBS.enabled else nullcontext() as sp:
+        estimates = target.all_point_estimates()
+        dense_mask = estimates >= threshold
+        dense_values = np.flatnonzero(dense_mask).astype(np.int64)
+        dense_frequencies = estimates[dense_mask]
+        if dense_values.size:
+            target.subtract_frequencies(dense_values, dense_frequencies)
+        if sp is not None:
+            sp.set(dense=int(dense_values.size))
+    _record_skim_metrics("flat", threshold, int(dense_values.size))
     return SkimResult(dense_values, dense_frequencies, float(threshold)), target
 
 
@@ -233,46 +230,41 @@ def skim_dense_dyadic(
     if not np.isfinite(threshold):
         return SkimResult(_Empty().values, _Empty().frequencies, threshold), target
 
-    with _METRICS.timer("skim.seconds") if _METRICS.enabled else nullcontext():
-        with _TRACER.span(
-            "skim",
-            kind="dyadic",
-            threshold=float(threshold),
-            n=float(sketch.absolute_mass),
-        ) if _TRACER.enabled else nullcontext() as sp:
-            dense_values = target.heavy_values(threshold)
-            if dense_values.size == 0:
-                if sp is not None:
-                    sp.set(dense=0)
-                if _METRICS.enabled:
-                    _record_skim_metrics("dyadic", threshold, 0)
-                return (
-                    SkimResult(
-                        _Empty().values, _Empty().frequencies, float(threshold)
-                    ),
-                    target,
-                )
-
-            dense_frequencies = target.base_sketch.point_estimates(dense_values)
-            # The descent already filtered on the level-0 estimate, but guard
-            # against borderline values whose estimate is non-positive (possible
-            # only through median noise on adversarial inputs): extracting a
-            # non-positive "frequency" would *add* mass to the residual.
-            keep = dense_frequencies >= threshold
-            dense_values = dense_values[keep]
-            dense_frequencies = dense_frequencies[keep]
-            if dense_values.size:
-                target.subtract_frequencies(dense_values, dense_frequencies)
+    with _OBS.span(
+        "skim",
+        kind="dyadic",
+        threshold=float(threshold),
+        n=float(sketch.absolute_mass),
+    ) if _OBS.enabled else nullcontext() as sp:
+        dense_values = target.heavy_values(threshold)
+        if dense_values.size == 0:
             if sp is not None:
-                sp.set(dense=int(dense_values.size))
-    if _METRICS.enabled:
-        _record_skim_metrics("dyadic", threshold, int(dense_values.size))
+                sp.set(dense=0)
+            _record_skim_metrics("dyadic", threshold, 0)
+            return (
+                SkimResult(_Empty().values, _Empty().frequencies, float(threshold)),
+                target,
+            )
+
+        dense_frequencies = target.base_sketch.point_estimates(dense_values)
+        # The descent already filtered on the level-0 estimate, but guard
+        # against borderline values whose estimate is non-positive (possible
+        # only through median noise on adversarial inputs): extracting a
+        # non-positive "frequency" would *add* mass to the residual.
+        keep = dense_frequencies >= threshold
+        dense_values = dense_values[keep]
+        dense_frequencies = dense_frequencies[keep]
+        if dense_values.size:
+            target.subtract_frequencies(dense_values, dense_frequencies)
+        if sp is not None:
+            sp.set(dense=int(dense_values.size))
+    _record_skim_metrics("dyadic", threshold, int(dense_values.size))
     return SkimResult(dense_values, dense_frequencies, float(threshold)), target
 
 
 def _record_skim_metrics(kind: str, threshold: float, dense_count: int) -> None:
-    """Shared skim-pass telemetry (self-guarded; callers may pre-check)."""
-    if not _METRICS.enabled:
+    """Shared skim-pass telemetry (self-guarded)."""
+    if not _OBS.enabled:
         return
     _METRICS.count("skim.passes")
     _METRICS.count(f"skim.passes.{kind}")

@@ -35,9 +35,7 @@ import numpy as np
 from ..errors import IncompatibleSketchError, ParameterError
 from ..monitor import AUDIT as _AUDIT
 from ..monitor.audit import QueryAudit, confidence_halfwidth
-from ..obs import METRICS as _METRICS
-from ..profile import PROFILER as _PROFILER, RECORDER as _RECORDER
-from ..trace import TRACER as _TRACER
+from ..obs import METRICS as _METRICS, OBS as _OBS
 from ..sketches.dyadic import DyadicHashSketch
 from ..sketches.hash_sketch import HashSketch
 from .skim import (
@@ -76,9 +74,9 @@ def est_sub_join_size(
     if dense_values.size == 0:
         return 0.0
     schema = sketch.schema
-    with _TRACER.span(
+    with _OBS.span(
         "estimate.median_boost", tables=schema.depth, dense=int(dense_values.size)
-    ) if _TRACER.enabled else nullcontext() as sp:
+    ) if _OBS.enabled else nullcontext() as sp:
         buckets = schema.buckets.buckets(dense_values)
         signs = schema.signs.signs(dense_values)
         table_index = np.arange(schema.depth)[:, None]
@@ -90,17 +88,15 @@ def est_sub_join_size(
 
 
 def _term_context(term: str) -> ExitStack:
-    """Combined metrics-timer + tracer-span context for one sub-join term.
+    """The ``estimate.term`` span plus the per-term timer for one sub-join.
 
-    Both layers stay individually guarded, so with both disabled the cost
-    is one empty :class:`ExitStack` per term per join estimate — query
-    granularity, never per element.
+    With instrumentation off the cost is one empty :class:`ExitStack` per
+    term per join estimate — query granularity, never per element.
     """
     stack = ExitStack()
-    if _METRICS.enabled:
+    if _OBS.enabled:
         stack.enter_context(_METRICS.timer(f"estimate.term.{term}.seconds"))
-    if _TRACER.enabled:
-        stack.enter_context(_TRACER.span("estimate.term", term=term))
+        stack.enter_context(_OBS.span("estimate.term", term=term))
     return stack
 
 
@@ -183,8 +179,6 @@ def est_skim_join_size_from_parts(
     # skimmed sketches.
     sj_f_dense = float(np.dot(f_skim.dense_frequencies, f_skim.dense_frequencies))
     sj_g_dense = float(np.dot(g_skim.dense_frequencies, g_skim.dense_frequencies))
-    if _PROFILER.enabled:
-        _PROFILER.mark("estimate.join")
     sj_f_res = max(f_skimmed.est_self_join_size(), 0.0)
     sj_g_res = max(g_skimmed.est_self_join_size(), 0.0)
     width = f_skimmed.width
@@ -205,10 +199,8 @@ def est_skim_join_size_from_parts(
         )
     with _term_context("sparse_sparse"):
         sparse_sparse = f_skimmed.est_join_size(g_skimmed)
-    if _METRICS.enabled:
+    if _OBS.enabled:
         _METRICS.count("estimate.joins")
-    if _RECORDER.enabled:
-        _RECORDER.pulse("estimate.joins")
     breakdown = JoinEstimateBreakdown(
         dense_dense=dense_dense,
         dense_sparse=dense_sparse,

@@ -18,8 +18,7 @@ from ..core.estimator import SkimmedSketch, SkimmedSketchSchema
 from ..errors import IncompatibleSketchError, QueryError
 from ..federate import merge_telemetry, telemetry_size_in_bytes, validate_telemetry
 from ..monitor import AUDIT as _AUDIT
-from ..obs import METRICS as _METRICS
-from ..profile import PROFILER as _PROFILER, RECORDER as _RECORDER
+from ..obs import METRICS as _METRICS, OBS as _OBS
 from ..trace import TRACER as _TRACER
 from .protocol import ProtocolError, RoundSummary, SketchReport, TraceContext
 
@@ -72,19 +71,19 @@ class SketchCoordinator:
 
     def receive(self, report: SketchReport) -> None:
         """Absorb one site report (validating schema and round ordering)."""
-        with _TRACER.span(
+        with _OBS.span(
             "dist.receive",
             site=report.site,
             stream=report.stream,
             round=report.round_number,
-        ) if _TRACER.enabled else nullcontext() as span:
+        ) if _OBS.enabled else nullcontext() as span:
             self._receive(report, span)
 
     def _receive(self, report: SketchReport, span) -> None:
         key = (report.site, report.stream)
         last = self._last_round.get(key, 0)
         if report.round_number <= last:
-            if _METRICS.enabled:
+            if _OBS.enabled:
                 _METRICS.count("dist.reports.rejected")
             if span is not None:
                 span.set(rejected="stale")
@@ -96,7 +95,7 @@ class SketchCoordinator:
         if not isinstance(sketch, SkimmedSketch) or not self.schema.is_compatible(
             sketch.schema
         ):
-            if _METRICS.enabled:
+            if _OBS.enabled:
                 _METRICS.count("dist.reports.rejected")
             if span is not None:
                 span.set(rejected="incompatible")
@@ -113,13 +112,9 @@ class SketchCoordinator:
         size = report.size_in_bytes()
         self._bytes_received += size
         self._reports_merged += 1
-        if _PROFILER.enabled:
-            _PROFILER.mark("dist.receive")
-        if _RECORDER.enabled:
-            _RECORDER.pulse("ship.bytes", size)
         if span is not None:
             span.set(bytes=size)
-        if _METRICS.enabled:
+        if _OBS.enabled:
             _METRICS.count("dist.reports.received")
             _METRICS.count("dist.bytes.received", size)
             _METRICS.gauge_max("dist.round.max", report.round_number)
@@ -141,7 +136,7 @@ class SketchCoordinator:
         try:
             doc = validate_telemetry(report.telemetry)
         except ValueError as exc:
-            if _METRICS.enabled:
+            if _OBS.enabled:
                 _METRICS.count("dist.telemetry.rejected")
             if span is not None:
                 span.set(rejected="telemetry")
@@ -154,7 +149,7 @@ class SketchCoordinator:
         size = telemetry_size_in_bytes(doc)
         self._telemetry_bytes += size
         self._telemetry_reports += 1
-        if _METRICS.enabled:
+        if _OBS.enabled:
             _METRICS.count("dist.telemetry.received")
             _METRICS.count("dist.telemetry.bytes.received", size)
             _METRICS.merge_snapshot(
@@ -165,7 +160,6 @@ class SketchCoordinator:
                 },
                 prefix=origin,
             )
-        if _TRACER.enabled and doc["spans"]:
             _TRACER.import_spans(
                 doc["spans"], origin=origin, parent_id=_TRACER.current_span_id()
             )
@@ -182,9 +176,9 @@ class SketchCoordinator:
             ),
             None,
         )
-        with _TRACER.span(
+        with _OBS.span(
             "dist.merge_round", reports=len(reports)
-        ) if _TRACER.enabled else nullcontext() as sp:
+        ) if _OBS.enabled else nullcontext() as sp:
             if sp is not None and trace_id is not None:
                 sp.set(trace_id=trace_id)
             for report in reports:

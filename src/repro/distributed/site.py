@@ -22,9 +22,7 @@ from dataclasses import replace
 from ..core.estimator import SkimmedSketchSchema
 from ..errors import ParameterError, QueryError
 from ..federate import TelemetryShipper, telemetry_size_in_bytes
-from ..obs import METRICS as _METRICS
-from ..profile import RECORDER as _RECORDER
-from ..trace import TRACER as _TRACER
+from ..obs import METRICS as _METRICS, OBS as _OBS
 from .protocol import SketchReport, TraceContext
 
 #: Supported reporting modes.
@@ -119,9 +117,9 @@ class SketchSite:
         """
         self._round += 1
         context_doc = trace_context.as_dict() if trace_context is not None else None
-        with _TRACER.span(
+        with _OBS.span(
             "dist.round", site=self.name, round=self._round, mode=self.mode
-        ) if _TRACER.enabled else nullcontext() as sp:
+        ) if _OBS.enabled else nullcontext() as sp:
             reports = [
                 SketchReport.from_sketch(
                     self.name,
@@ -143,23 +141,18 @@ class SketchSite:
                 )
                 if trace_context is not None:
                     sp.set(trace_id=trace_context.trace_id)
-        if _METRICS.enabled:
-            _METRICS.count("dist.rounds.closed")
-            _METRICS.count("dist.reports.sent", len(reports))
-            _METRICS.count(
-                "dist.bytes.sent", sum(r.size_in_bytes() for r in reports)
-            )
-        if self.shipper is not None and (
-            _METRICS.enabled or _TRACER.enabled or _RECORDER.enabled
-        ):
+        if not _OBS.enabled:
+            return reports
+        _METRICS.count("dist.rounds.closed")
+        _METRICS.count("dist.reports.sent", len(reports))
+        _METRICS.count("dist.bytes.sent", sum(r.size_in_bytes() for r in reports))
+        if self.shipper is not None:
             telemetry_doc = self.shipper.capture_telemetry()
             reports[0] = replace(reports[0], telemetry=telemetry_doc)
-            if _METRICS.enabled:
-                _METRICS.count("dist.telemetry.sent")
-                _METRICS.count(
-                    "dist.telemetry.bytes.sent",
-                    telemetry_size_in_bytes(telemetry_doc),
-                )
+            _METRICS.count("dist.telemetry.sent")
+            _METRICS.count(
+                "dist.telemetry.bytes.sent", telemetry_size_in_bytes(telemetry_doc)
+            )
         return reports
 
     def __repr__(self) -> str:

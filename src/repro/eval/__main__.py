@@ -310,6 +310,8 @@ def main(argv: list[str] | None = None) -> int:
         PROFILER.reset()
         PROFILER.start()
     if args.timeseries_out:
+        # Frames are windows over the registry's counters.
+        METRICS.enable()
         RECORDER.reset()
         RECORDER.start()
     try:
@@ -349,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{args.timeseries_out}]"
             )
     finally:
-        if args.metrics_out:
+        if args.metrics_out or args.timeseries_out:
             METRICS.disable()
         if args.trace_out:
             TRACER.disable()

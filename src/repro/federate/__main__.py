@@ -73,9 +73,9 @@ def _emulated_origin(name: str, seed: int) -> tuple[dict[str, Any], TelemetryShi
         with tracer.span("demo.ingest"):
             tracer.instant("demo.mark", step=seed)
     shipper = TelemetryShipper(
-        name, registry=registry, tracer=tracer, recorder=None, audit=None
+        name, registry=registry, tracer=tracer, audit=None
     )
-    return shipper.capture_telemetry(), shipper  # repro: noqa[R13] -- private always-enabled registry, not a singleton
+    return shipper.capture_telemetry(), shipper  # repro: noqa[R3] -- private always-enabled registry, not a singleton
 
 
 def _cmd_selfcheck(_args: argparse.Namespace) -> int:
@@ -116,7 +116,7 @@ def _cmd_selfcheck(_args: argparse.Namespace) -> int:
     check(left == right, "counter merge is associative across three origins")
 
     # 4. Registry merge is order-insensitive for disjoint origins.
-    forward, backward = MetricsRegistry(), MetricsRegistry()
+    forward, backward = MetricsRegistry(enabled=True), MetricsRegistry(enabled=True)
     for name in sorted(docs):
         forward.merge_snapshot(docs[name], prefix=name)
     for name in sorted(docs, reverse=True):

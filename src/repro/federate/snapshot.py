@@ -8,10 +8,10 @@ bridge: a **versioned JSON envelope** that one process captures and
 another merges, riding piggyback on the distributed protocol's sketch
 reports (or shipped as a standalone file).
 
-Wire schema (version 1)::
+Wire schema (version 2)::
 
     {
-      "version": 1,
+      "version": 2,
       "kind": "repro.telemetry",
       "origin": "site.edge-0",          # who captured this
       "seq": 3,                          # capture sequence at the origin
@@ -20,12 +20,15 @@ Wire schema (version 1)::
       "histograms": {name: {"count", "sum", "min", "max", "samples"}},
       "spans": [span records],           # bounded batch, origin-local ids
       "spans_dropped": 0,
-      "pulses": {name: delta},           # flight-recorder pulse deltas
     }
+
+Version 2 dropped version 1's ``pulses`` section: the flight recorder's
+frames are windows over the registry's counters, which ``counters``
+already carries, so shipping both counted the same events twice.
 
 Everything shipped is a **delta** relative to the shipper's previous
 capture, so merging successive snapshots by summation is exact for
-counters and pulses; gauges carry write timestamps so last-write-wins
+counters; gauges carry write timestamps so last-write-wins
 stays well-defined across processes; histograms ship exact count/sum
 deltas plus a bounded, evenly-strided reservoir excerpt (the reservoir
 itself is lifetime state, so the shipped excerpt is representative
@@ -36,7 +39,7 @@ Merging lives in three places, all consistent with each other:
 
 * :func:`merge_telemetry` — pure snapshot x snapshot -> snapshot (what
   ``python -m repro.federate merge`` and the coordinator's per-origin
-  accumulation use); commutative and associative on counters/pulses.
+  accumulation use); commutative and associative on counters.
 * :meth:`repro.obs.MetricsRegistry.merge_snapshot` — snapshot into a
   live registry.
 * :meth:`repro.trace.SpanTracer.import_spans` — the span batch into a
@@ -54,7 +57,7 @@ import time
 from typing import Any, Iterable, Mapping
 
 #: Telemetry envelope schema version.
-TELEMETRY_VERSION = 1
+TELEMETRY_VERSION = 2
 
 #: The envelope ``kind`` discriminator.
 TELEMETRY_KIND = "repro.telemetry"
@@ -86,7 +89,6 @@ def empty_telemetry(origin: str, seq: int = 0) -> dict[str, Any]:
         "histograms": {},
         "spans": [],
         "spans_dropped": 0,
-        "pulses": {},
     }
 
 
@@ -116,15 +118,14 @@ def validate_telemetry(snapshot: Any) -> dict[str, Any]:
     seq = snapshot.get("seq")
     if not isinstance(seq, int) or seq < 0:
         raise ValueError(f"'seq' must be a non-negative int, got {seq!r}")
-    for section in ("counters", "pulses"):
-        values = snapshot.get(section)
-        if not isinstance(values, dict):
-            raise ValueError(f"section {section!r} missing or not a dict")
-        for name, value in values.items():
-            if not isinstance(name, str) or not name:
-                raise ValueError(f"bad metric name {name!r} in {section}")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{section}[{name!r}] is not numeric: {value!r}")
+    counters = snapshot.get("counters")
+    if not isinstance(counters, dict):
+        raise ValueError("section 'counters' missing or not a dict")
+    for name, value in counters.items():
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"bad metric name {name!r} in counters")
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"counters[{name!r}] is not numeric: {value!r}")
     gauges = snapshot.get("gauges")
     if not isinstance(gauges, dict):
         raise ValueError("section 'gauges' missing or not a dict")
@@ -308,7 +309,7 @@ def merge_telemetry(
 ) -> dict[str, Any]:
     """Merge two validated snapshots into one (pure; inputs untouched).
 
-    Counters and pulses **sum** — commutative and associative, so a
+    Counters **sum** — commutative and associative, so a
     coordinator can fold successive or sibling snapshots in any order
     (``python -m repro.federate selfcheck`` proves it, the hypothesis
     suite fuzzes it).  Gauges take the last write by timestamp;
@@ -335,7 +336,6 @@ def merge_telemetry(
         ),
         "spans": _merge_spans(a, b),
         "spans_dropped": a["spans_dropped"] + b["spans_dropped"],
-        "pulses": _merge_numeric(a["pulses"], b["pulses"]),
     }
 
 
@@ -352,14 +352,14 @@ def merge_all_telemetry(snapshots: Iterable[Mapping[str, Any]]) -> dict[str, Any
 
 def telemetry_to_metrics(snapshot: Mapping[str, Any]) -> dict[str, Any]:
     """Project a telemetry snapshot onto the version-1 metrics-snapshot
-    shape (counters include pulses; histogram states become summaries).
+    shape (histogram states become summaries).
 
     This is what the federated ``/metrics`` exposition renders per
     origin, so a telemetry file is scrapeable exactly like a
     ``--metrics-out`` file.
     """
     snapshot = validate_telemetry(dict(snapshot))
-    counters = _merge_numeric(snapshot["counters"], snapshot["pulses"])
+    counters = snapshot["counters"]
     histograms: dict[str, dict[str, float]] = {}
     for name, state in snapshot["histograms"].items():
         count = state["count"]
@@ -410,14 +410,6 @@ def _default_tracer() -> Any:
     return TRACER
 
 
-def _default_recorder() -> Any:
-    try:  # pragma: no cover
-        from ..profile import RECORDER
-    except ImportError:
-        from profile import RECORDER  # type: ignore
-    return RECORDER
-
-
 def _default_audit() -> Any:
     try:  # pragma: no cover
         from ..monitor import AUDIT
@@ -438,12 +430,12 @@ class TelemetryShipper:
 
     The source singletons default to the process-wide ones; tests (and
     the ``selfcheck`` CLI) inject private registries to emulate separate
-    processes inside one.  Passing ``recorder=None`` / ``audit=None``
-    explicitly skips those sections entirely.
+    processes inside one.  Passing ``audit=None`` explicitly skips the
+    audit gauges.
 
-    Call sites must guard on the owning singletons' ``enabled`` flags —
-    an unguarded ``capture_telemetry`` serialised into a protocol
-    message is exactly what linter rule R13 rejects.
+    Call sites must guard on ``OBS.enabled`` — an unguarded
+    ``capture_telemetry`` serialised into a protocol message is exactly
+    what linter rule R3 rejects.
     """
 
     def __init__(
@@ -451,7 +443,6 @@ class TelemetryShipper:
         origin: str,
         registry: Any | None = None,
         tracer: Any | None = None,
-        recorder: Any = _UNSET,
         audit: Any = _UNSET,
         max_spans: int = DEFAULT_SPAN_BATCH,
         max_histogram_samples: int = DEFAULT_HISTOGRAM_SAMPLES,
@@ -463,14 +454,12 @@ class TelemetryShipper:
         self.origin = origin
         self.registry = registry if registry is not None else _default_metrics()
         self.tracer = tracer if tracer is not None else _default_tracer()
-        self.recorder = _default_recorder() if recorder is _UNSET else recorder
         self.audit = _default_audit() if audit is _UNSET else audit
         self.max_spans = max_spans
         self.max_histogram_samples = max_histogram_samples
         self._seq = 0
         self._last_counters: dict[str, float] = {}
         self._last_histograms: dict[str, tuple[int, float]] = {}
-        self._last_pulses: dict[str, float] = {}
         self._span_cursor = 0
         self._registry_generation = getattr(self.registry, "generation", 0)
         self._tracer_epoch = getattr(self.tracer, "_epoch", 0.0)
@@ -486,7 +475,6 @@ class TelemetryShipper:
         doc = empty_telemetry(self.origin, seq=self._seq)
         self._capture_metrics(doc)
         self._capture_spans(doc)
-        self._capture_pulses(doc)
         self._capture_audit(doc)
         return doc
 
@@ -539,21 +527,6 @@ class TelemetryShipper:
             attrs.setdefault("origin", self.origin)
             record["attrs"] = attrs
         doc["spans_dropped"] = len(fresh) - len(batch)
-
-    def _capture_pulses(self, doc: dict[str, Any]) -> None:
-        recorder = self.recorder
-        if recorder is None:
-            return
-        current = recorder.pending_pulses()
-        for name, total in sorted(current.items()):
-            seen = self._last_pulses.get(name, 0.0)
-            # The recorder's tick() drains pulses to zero between our
-            # captures; a total below the watermark means everything
-            # current is new.
-            delta = total - seen if total >= seen else total
-            if delta:
-                doc["pulses"][name] = delta
-        self._last_pulses = current
 
     def _capture_audit(self, doc: dict[str, Any]) -> None:
         audit = self.audit

@@ -5,8 +5,10 @@ counters, gauges and latency histograms from instrumentation hooks wired
 through the hot paths — sketch updates, SKIMDENSE passes, join
 estimation, the stream engine, and the distributed sketch protocol.
 Recording is **off by default**; every hook is guarded by a single
-``METRICS.enabled`` attribute read, so disabled instrumentation is free
-for all practical purposes (see ``tests/test_obs_overhead.py``).
+``OBS.enabled`` attribute read (:mod:`repro.obs.switch` — one switch for
+the registry, the tracer, the profiler and the flight recorder), so
+disabled instrumentation is free for all practical purposes (see
+``tests/test_obs_overhead.py``).
 
 Typical use::
 
@@ -46,9 +48,11 @@ from .export import (
     write_snapshot,
 )
 from .registry import Counter, Gauge, Histogram, MetricsRegistry, Timer
+from .switch import OBS, Sink, Switch
 
 #: The process-wide registry every built-in instrumentation hook records to.
 METRICS = MetricsRegistry(enabled=False)
+OBS.register(metrics=METRICS)
 
 
 def enable() -> None:
@@ -100,7 +104,10 @@ __all__ = [
     "Histogram",
     "METRICS",
     "MetricsRegistry",
+    "OBS",
     "SNAPSHOT_VERSION",
+    "Sink",
+    "Switch",
     "Timer",
     "capturing",
     "disable",

@@ -1,18 +1,18 @@
 """Dependency-free runtime metrics: counters, gauges, histograms, timers.
 
-The registry is the library's single telemetry sink.  Instrumentation
-sites in the hot paths (sketch updates, skims, join estimation, the
-stream engine, the distributed protocol) guard every recording with a
-plain attribute read::
+The registry is the library's metrics sink.  Instrumentation sites in
+the hot paths (sketch updates, skims, join estimation, the stream
+engine, the distributed protocol) guard every recording with the one
+instrumentation switch (:data:`repro.obs.OBS`)::
 
-    if METRICS.enabled:
-        METRICS.count("sketch.update.elements")
+    if _OBS.enabled:
+        _METRICS.count("sketch.update.elements")
 
-so a disabled registry costs one attribute load and one branch per
+so a disabled library costs one attribute load and one branch per
 *instrumentation site* (not per metric), which is unmeasurable next to
-the numpy work those sites wrap.  Every recording method additionally
-no-ops when disabled, so a call site that forgets the guard still cannot
-pollute a disabled registry.
+the numpy work those sites wrap.  ``OBS`` is on when *any* sink is, so
+every recording method additionally no-ops while this registry is
+disabled.
 
 Design constraints (enforced by the test suite):
 
@@ -29,6 +29,8 @@ from __future__ import annotations
 import threading
 import time
 from typing import Any, Callable, Iterator, Mapping
+
+from .switch import Sink
 
 #: Reservoir size for histogram percentile estimation.
 DEFAULT_RESERVOIR_SIZE = 2048
@@ -251,7 +253,7 @@ class Timer:
         return wrapper
 
 
-class MetricsRegistry:
+class MetricsRegistry(Sink):
     """Named counters, gauges and histograms behind one enable switch.
 
     Metrics are created lazily on first use; names are free-form
@@ -260,7 +262,6 @@ class MetricsRegistry:
     """
 
     __slots__ = (
-        "enabled",
         "_counters",
         "_gauges",
         "_histograms",
@@ -270,23 +271,13 @@ class MetricsRegistry:
     )
 
     def __init__(self, enabled: bool = False, reservoir_size: int = DEFAULT_RESERVOIR_SIZE):
-        self.enabled = enabled
+        super().__init__(enabled)
         self.reservoir_size = reservoir_size
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._lock = threading.Lock()
         self.generation = 0
-
-    # -- switch ------------------------------------------------------------
-
-    def enable(self) -> None:
-        """Turn recording on (idempotent)."""
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Turn recording off; existing metric values are kept."""
-        self.enabled = False
 
     # -- recording ---------------------------------------------------------
 
@@ -299,7 +290,7 @@ class MetricsRegistry:
 
     def count(self, name: str, amount: float = 1.0) -> None:
         """Increment a counter (no-op while disabled)."""
-        if self.enabled:
+        if self._enabled:
             self.counter(name).inc(amount)
 
     def gauge(self, name: str, value: float | None = None) -> Gauge:
@@ -307,7 +298,7 @@ class MetricsRegistry:
         found = self._gauges.get(name)
         if found is None:
             found = self._gauges[name] = Gauge(name)
-        if value is not None and self.enabled:
+        if value is not None and self._enabled:
             found.set(value)
         return found
 
@@ -319,7 +310,7 @@ class MetricsRegistry:
         a threaded ``/metrics`` scrape) cannot interleave a lower value
         over a higher one the way an unsynchronised compare-then-set can.
         """
-        if not self.enabled:
+        if not self._enabled:
             return
         with self._lock:
             found = self.gauge(name)
@@ -335,7 +326,7 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float) -> None:
         """Record one histogram observation (no-op while disabled)."""
-        if self.enabled:
+        if self._enabled:
             self.histogram(name).record(value)
 
     def timer(self, name: str) -> Timer:
@@ -385,13 +376,14 @@ class MetricsRegistry:
         write), and **histograms merge reservoirs** via
         :meth:`Histogram.merge_state`.
 
-        This is an administrative operation like :meth:`snapshot` — it
-        applies even while the registry is disabled, because the caller
-        (coordinator / parallel flush) decides whether federation is on
-        and guards with ``enabled`` at the call site.  ``prefix`` is
+        Like every recording method it is a no-op while the registry is
+        disabled, so a coordinator whose registry is off does not fill
+        it with foreign metrics.  ``prefix`` is
         prepended (dot-joined) to every merged metric name, which is how
         per-shard worker telemetry lands under ``parallel.shard.N.*``.
         """
+        if not self._enabled:
+            return
         qualify = (lambda n: f"{prefix}.{n}") if prefix else (lambda n: n)
         for name, value in snapshot.get("counters", {}).items():
             self.counter(qualify(name)).inc(float(value))

@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ParameterError
-from ..obs import METRICS as _METRICS
-from ..profile import PROFILER as _PROFILER, RECORDER as _RECORDER
+from ..obs import METRICS as _METRICS, OBS as _OBS
 from ..streams.engine import StreamEngine, _RegisteredStream
 from ..streams.query import Predicate, Query
 from .shards import INGEST_MODES, ShardedIngestor
@@ -101,10 +100,6 @@ class ParallelStreamEngine(StreamEngine):
         weights: np.ndarray | None,
     ) -> None:
         """Route a filtered batch through the stream's sharded ingestor."""
-        if _PROFILER.enabled:
-            _PROFILER.mark("parallel.ingest")
-        if _RECORDER.enabled:
-            _RECORDER.pulse("parallel.elements", int(values.size))
         self._ingestors[registered.name].ingest(values, weights)
 
     # -- query paths: merge shards before answering ------------------------------
@@ -123,7 +118,7 @@ class ParallelStreamEngine(StreamEngine):
         for name, ingestor in self._ingestors.items():
             self._streams[name].synopsis = ingestor.merged()
             telemetry = ingestor.drain_worker_telemetry()
-            if _METRICS.enabled:
+            if _OBS.enabled:
                 for shard, stats in telemetry:
                     for key, value in stats.items():
                         _METRICS.count(f"parallel.shard.{shard}.{key}", value)

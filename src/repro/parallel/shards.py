@@ -39,9 +39,8 @@ from typing import Any, Protocol, Sequence
 import numpy as np
 
 from ..errors import ParameterError
-from ..obs import METRICS as _METRICS
+from ..obs import METRICS as _METRICS, OBS as _OBS
 from ..sketches.serialize import AnySketch, sketch_spec
-from ..trace import TRACER as _TRACER
 
 __all__ = ["INGEST_MODES", "ShardedIngestor", "partition_batch"]
 
@@ -222,18 +221,18 @@ class ShardedIngestor:
         if values.size == 0:
             return
         parts = partition_batch(values, weights, self._workers)
-        with _TRACER.span(
+        with _OBS.span(
             "parallel.ingest",
             elements=int(values.size),
             workers=self._workers,
             mode=self._mode,
-        ) if _TRACER.enabled else nullcontext():
+        ) if _OBS.enabled else nullcontext():
             self._strategy.ingest(self._shards, parts)
         self._dirty = True
         self._merged = None
         self._batches += 1
         self._elements += int(values.size)
-        if _METRICS.enabled:
+        if _OBS.enabled:
             _METRICS.count("parallel.batches")
             _METRICS.count("parallel.elements", int(values.size))
             _METRICS.gauge("parallel.shards", float(self._workers))
@@ -251,17 +250,14 @@ class ShardedIngestor:
         """
         if self._merged is not None and not self._dirty:
             return self._merged
-        with _METRICS.timer(
-            "parallel.merge.seconds"
-        ) if _METRICS.enabled else nullcontext():
-            with _TRACER.span(
-                "parallel.merge", workers=self._workers, mode=self._mode
-            ) if _TRACER.enabled else nullcontext():
-                self._shards = self._strategy.flush(self._shards)
-                merged = self._shards[0]
-                for shard in self._shards[1:]:
-                    merged = merged.merged_with(shard)
-        if _METRICS.enabled:
+        with _OBS.span(
+            "parallel.merge", workers=self._workers, mode=self._mode
+        ) if _OBS.enabled else nullcontext():
+            self._shards = self._strategy.flush(self._shards)
+            merged = self._shards[0]
+            for shard in self._shards[1:]:
+                merged = merged.merged_with(shard)
+        if _OBS.enabled:
             _METRICS.count("parallel.merges")
         self._merged = merged
         self._dirty = False

@@ -10,10 +10,11 @@ off-by-default contract:
   collapsed stacks (flamegraph input), speedscope JSON, samples JSONL,
   and a ``top``-style aggregate report.
 * :data:`RECORDER` (:class:`FlightRecorder`) — periodic windows diffing
-  ``repro.obs`` counter totals (plus hot-path pulses and the audit
-  ring's coverage/alert state) into a :class:`TelemetryRing` with
-  Hokusai-style aging: old windows merge to coarser resolution so the
-  ring holds hours of telemetry in a configured byte budget.
+  ``repro.obs`` counter totals (plus the audit ring's coverage/alert
+  state) into a :class:`TelemetryRing` with Hokusai-style aging: old
+  windows merge to coarser resolution so the ring holds hours of
+  telemetry in a configured byte budget.  Its frames come only from
+  the registry, so :func:`enable` turns ``repro.obs.METRICS`` on too.
 
 Typical use::
 
@@ -31,10 +32,12 @@ run.prof.jsonl --timeseries-out run.ts.jsonl``, then ``python -m
 repro.profile top run.prof.jsonl`` / ``python -m repro.monitor serve
 --profile run.prof.jsonl`` (the ``/dashboard`` page renders both).
 
-Both instruments cost the hot paths one guarded attribute read while
-disabled (``tests/test_obs_overhead.py`` budgets it; linter rule R12
-enforces the guard shape).  The package imports **only the standard
-library** — no numpy — like obs/trace/monitor.
+Neither instrument has a hot-path method: hook sites reach them through
+``repro.obs.OBS`` (the span sets the profiler's activity, the registry
+feeds the recorder), so both cost the hot paths the one ``OBS.enabled``
+read while disabled (``tests/test_obs_overhead.py`` budgets it).  The
+package imports **only the standard library** — no numpy — like
+obs/trace/monitor.
 """
 
 from __future__ import annotations
@@ -76,15 +79,24 @@ from .sampler import (
     StackSample,
 )
 
-#: The process-wide sampling profiler every built-in hook marks into.
+try:  # pragma: no cover - exercised via the standalone import test
+    from ..obs import METRICS as _METRICS, OBS as _OBS
+except ImportError:  # standalone layout: `obs` next to `profile` on sys.path
+    from obs import METRICS as _METRICS, OBS as _OBS  # type: ignore
+
+#: The process-wide sampling profiler; ``OBS.span`` sets its activity.
 PROFILER = SamplingProfiler(enabled=False)
 
-#: The process-wide flight recorder every built-in hook pulses into.
+#: The process-wide flight recorder, windowing the registry's counters.
 RECORDER = FlightRecorder(enabled=False)
+
+_OBS.register(profiler=PROFILER, recorder=RECORDER)
 
 
 def enable() -> None:
-    """Turn on both instruments (sampling threads not started)."""
+    """Turn on both instruments and the metrics registry the recorder
+    reads (sampling threads not started)."""
+    _METRICS.enable()
     PROFILER.enable()
     RECORDER.enable()
 

@@ -392,8 +392,11 @@ def _selfcheck(args: argparse.Namespace) -> int:
         fail(f"recorder snapshot invalid: {exc}")
     if len(ts["frames"]) < 2:
         fail(f"recorder captured {len(ts['frames'])} frames, wanted >= 2")
-    elif not any(f["counts"] for f in ts["frames"]):
-        fail("no recorder frame captured any counter delta")
+    elif not any("engine.elements.seen" in f["counts"] for f in ts["frames"]):
+        fail(
+            "no recorder frame carries engine.elements.seen (the dashboard's "
+            "Ingest throughput series would be empty)"
+        )
     else:
         ok(f"flight recorder captured {len(ts['frames'])} valid frames")
 

@@ -14,16 +14,17 @@ Two attribution channels ride on every sample:
   stamped with the innermost active span name (``engine.ingest``,
   ``skim.dense``, ``estimate.term`` …), linking wall-clock back to the
   paper's query phases;
-* **activity** — hot paths additionally publish a coarse marker via
-  :meth:`SamplingProfiler.mark` (one guarded attribute write, linter
-  rule R12), so attribution survives even with the tracer off.
+* **activity** — the name of the innermost open ``repro.obs.OBS.span``
+  (``OBS.span`` sets :attr:`SamplingProfiler.activity` for the span's
+  duration), so attribution survives even with the tracer off.
 
 The design contract matches ``repro.obs`` / ``repro.trace`` /
 ``repro.monitor``: one process-wide instance (``repro.profile.PROFILER``),
-**off by default**, every hot-path hook guarded by a single ``enabled``
-attribute read (budgeted in ``tests/test_obs_overhead.py``), bounded
-memory (``max_samples`` ring + ``dropped`` counter), and **no
-third-party imports** — the package loads without numpy.
+**off by default**, no hot-path method of its own (hook sites reach it
+only through ``OBS.span`` behind the one ``OBS.enabled`` read, budgeted
+in ``tests/test_obs_overhead.py``), bounded memory (``max_samples`` ring
++ ``dropped`` counter), and **no third-party imports** — the package
+loads without numpy.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ from types import FrameType
 from typing import Any
 
 try:  # pragma: no cover - exercised via the standalone import test
+    from ..obs.switch import Sink
     from ..trace import TRACER as _TRACER
 except ImportError:  # standalone layout: `trace` next to `profile` on sys.path
+    from obs.switch import Sink  # type: ignore
     from trace import TRACER as _TRACER  # type: ignore
 
 #: Default sampling frequency.  97 Hz (prime) avoids phase-locking with
@@ -110,7 +113,7 @@ def _walk_stack(frame: FrameType | None) -> tuple[str, ...]:
     return tuple(rendered)
 
 
-class SamplingProfiler:
+class SamplingProfiler(Sink):
     """Process-wide continuous profiler behind one enable switch.
 
     Usage (what ``--profile-out`` does under the hood)::
@@ -127,14 +130,11 @@ class SamplingProfiler:
     *other* threads plus the caller's own stack — the deterministic
     entry the tests and ``selfcheck`` drive directly.
 
-    Hot paths publish coarse attribution with :meth:`mark`; the call is
-    a no-op while disabled and every built-in call site is additionally
-    guarded by ``if _PROFILER.enabled:`` (rule R12), so the disabled
-    cost is one attribute read and one branch per site.
+    ``activity`` is written by ``repro.obs.OBS.span`` (the span name,
+    for the span's duration); hot paths never call the profiler itself.
     """
 
     __slots__ = (
-        "enabled",
         "hz",
         "max_samples",
         "dropped",
@@ -155,7 +155,7 @@ class SamplingProfiler:
             raise ValueError(f"hz must be > 0, got {hz}")
         if max_samples < 1:
             raise ValueError(f"max_samples must be >= 1, got {max_samples}")
-        self.enabled = enabled
+        super().__init__(enabled)
         self.hz = float(hz)
         self.max_samples = max_samples
         self.dropped = 0
@@ -165,34 +165,12 @@ class SamplingProfiler:
         self._stop_event = threading.Event()
         self._epoch = time.perf_counter()
 
-    # -- switch ------------------------------------------------------------
-
-    def enable(self) -> None:
-        """Turn sample recording on (idempotent)."""
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Turn sample recording off; retained samples are kept."""
-        self.enabled = False
-
     def reset(self) -> None:
         """Drop every sample, restart the epoch (enabled flag kept)."""
         self._samples.clear()
         self.dropped = 0
         self.activity = None
         self._epoch = time.perf_counter()
-
-    # -- hot-path hook -----------------------------------------------------
-
-    def mark(self, activity: str) -> None:
-        """Publish the coarse activity marker (no-op while disabled).
-
-        This is the only profiler method hot paths call; it must stay a
-        single attribute write.  Call sites guard it with
-        ``if _PROFILER.enabled:`` (linter rule R12).
-        """
-        if self.enabled:
-            self.activity = activity
 
     # -- sampling ----------------------------------------------------------
 

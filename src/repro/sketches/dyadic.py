@@ -28,8 +28,7 @@ import numpy as np
 
 from ..errors import IncompatibleSketchError, ParameterError
 from ..hashing.bulk import BulkHashCache
-from ..obs import METRICS as _METRICS
-from ..trace import TRACER as _TRACER
+from ..obs import METRICS as _METRICS, OBS as _OBS
 from .base import StreamSynopsis
 from .hash_sketch import HashSketch, HashSketchSchema
 
@@ -196,15 +195,15 @@ class DyadicHashSketch(StreamSynopsis):
             return
         cache = BulkHashCache(values, weights)
         observed = cache.total_absolute_mass
-        with _TRACER.span(
+        with _OBS.span(
             "sketch.update_bulk",
             elements=int(values.size),
             levels=len(self._levels),
-        ) if _TRACER.enabled else nullcontext():
+        ) if _OBS.enabled else nullcontext():
             for level, sketch in enumerate(self._levels):
                 level_values, level_masses = cache.level(level)
                 sketch.update_coalesced(level_values, level_masses, observed)
-        if _METRICS.enabled:
+        if _OBS.enabled:
             # Same totals as per-level HashSketch.update_bulk calls: each
             # level is a real hash-sketch update of the whole batch.
             num_levels = len(self._levels)
@@ -271,11 +270,11 @@ class DyadicHashSketch(StreamSynopsis):
         for level in range(top, -1, -1):
             if candidates.size == 0:
                 return candidates
-            if _METRICS.enabled:
+            if _OBS.enabled:
                 _METRICS.count("skim.dyadic.probes", int(candidates.size))
-            with _TRACER.span(
+            with _OBS.span(
                 "skim.dyadic.level", level=level, candidates=int(candidates.size)
-            ) if _TRACER.enabled else nullcontext() as sp:
+            ) if _OBS.enabled else nullcontext() as sp:
                 estimates = self._levels[level].point_estimates(candidates)
                 candidates = candidates[estimates >= threshold]
                 if sp is not None:

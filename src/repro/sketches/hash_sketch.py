@@ -38,7 +38,7 @@ import numpy as np
 from ..errors import DomainError, IncompatibleSketchError, ParameterError
 from ..hashing import FourWiseSignFamily, PairwiseBucketHash
 from ..hashing.bulk import coalesce_updates
-from ..obs import METRICS as _METRICS
+from ..obs import METRICS as _METRICS, OBS as _OBS
 from ..trace import TRACER as _TRACER
 from .base import StreamSynopsis
 
@@ -301,11 +301,10 @@ class HashSketch(StreamSynopsis):
         self._counters[self._table_index, buckets] += weight * signs  # repro: noqa[R9] -- O(depth) per-element hot path; linear by inspection
         self._absolute_mass += abs(weight)
         self._version += 1
-        if _METRICS.enabled:
+        if _OBS.enabled:
             _METRICS.count("sketch.update.elements")
             if weight < 0:
                 _METRICS.count("sketch.update.deletions")
-        if _TRACER.enabled:
             _TRACER.instant("sketch.update", tables=self._schema.depth)
 
     def update_bulk(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
@@ -320,12 +319,12 @@ class HashSketch(StreamSynopsis):
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != values.shape:
                 raise ParameterError("weights must have the same shape as values")
-        with _TRACER.span(
+        with _OBS.span(
             "sketch.update_bulk", elements=int(values.size)
-        ) if _TRACER.enabled else nullcontext():
+        ) if _OBS.enabled else nullcontext():
             self._apply_point_masses(values, weights)
             self._absolute_mass += float(np.abs(weights).sum())
-        if _METRICS.enabled:
+        if _OBS.enabled:
             _METRICS.count("sketch.update.elements", int(values.size))
             _METRICS.count("sketch.update.batches")
             deletions = int(np.count_nonzero(weights < 0))
@@ -404,9 +403,9 @@ class HashSketch(StreamSynopsis):
 
     def est_join_size(self, other: "HashSketch") -> float:
         """Median-boosted binary-join size estimate from two hash sketches."""
-        with _TRACER.span(
+        with _OBS.span(
             "estimate.median_boost", tables=self._schema.depth
-        ) if _TRACER.enabled else nullcontext() as sp:
+        ) if _OBS.enabled else nullcontext() as sp:
             estimate = float(np.median(self.table_join_estimates(other)))
             if sp is not None:
                 sp.set(median=estimate)

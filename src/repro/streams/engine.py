@@ -25,9 +25,7 @@ import numpy as np
 from ..errors import ParameterError, QueryError
 from ..monitor import AUDIT as _AUDIT
 from ..monitor.shadow import ShadowAuditor
-from ..obs import METRICS as _METRICS
-from ..profile import PROFILER as _PROFILER, RECORDER as _RECORDER
-from ..trace import TRACER as _TRACER
+from ..obs import METRICS as _METRICS, OBS as _OBS
 from ..sketches.agms import AGMSSchema, AGMSSketch
 from ..sketches.hash_sketch import HashSketch, HashSketchSchema
 from ..streams.model import Update
@@ -180,23 +178,19 @@ class StreamEngine:
         registered.elements_seen += 1
         if not registered.predicate.accepts(value):
             registered.elements_dropped += 1
-            if _METRICS.enabled:
+            if _OBS.enabled:
                 _METRICS.count("engine.elements.seen")
                 _METRICS.count("engine.elements.dropped")
             return
-        if _PROFILER.enabled:
-            _PROFILER.mark("engine.ingest")
-        with _TRACER.span(
+        with _OBS.span(
             "engine.ingest", stream=stream, elements=1
-        ) if _TRACER.enabled else nullcontext():
+        ) if _OBS.enabled else nullcontext():
             self._ingest_one(registered, value, weight)
         if _AUDIT.enabled and self._shadow is not None:
             self._shadow.observe(stream, value, weight)
-        if _METRICS.enabled:
+        if _OBS.enabled:
             _METRICS.count("engine.elements.seen")
             _METRICS.count(f"engine.stream.{stream}.elements")
-        if _RECORDER.enabled:
-            _RECORDER.pulse("ingest.elements")
 
     def process_many(
         self, stream: str, updates: Iterable[Update], chunk_size: int = 4096
@@ -242,28 +236,24 @@ class StreamEngine:
         keep = registered.predicate.accepts_bulk(values)
         kept = int(keep.sum())
         registered.elements_dropped += int(values.size - kept)
-        if _METRICS.enabled:
+        if _OBS.enabled:
             _METRICS.count("engine.elements.seen", int(values.size))
             _METRICS.count("engine.elements.dropped", int(values.size - kept))
             _METRICS.count(f"engine.stream.{stream}.elements", kept)
         if not kept:
             return
-        if _PROFILER.enabled:
-            _PROFILER.mark("engine.ingest")
-        if _RECORDER.enabled:
-            _RECORDER.pulse("ingest.elements", kept)
         if kept == values.size:
             kept_values = values
             kept_weights = None if weights is None else np.asarray(weights)
         else:
             kept_values = values[keep]
             kept_weights = None if weights is None else np.asarray(weights)[keep]
-        with _TRACER.span(
+        with _OBS.span(
             "engine.ingest",
             stream=stream,
             elements=int(values.size),
             kept=kept,
-        ) if _TRACER.enabled else nullcontext():
+        ) if _OBS.enabled else nullcontext():
             self._ingest_bulk(registered, kept_values, kept_weights)
         if _AUDIT.enabled and self._shadow is not None:
             self._shadow.observe_bulk(
@@ -345,19 +335,16 @@ class StreamEngine:
         """
         from .sql import parse_query
 
-        with _METRICS.timer(
-            "engine.sql.seconds"
-        ) if _METRICS.enabled else nullcontext():
-            with _TRACER.span(
-                "engine.sql", sql=text.strip()
-            ) if _TRACER.enabled else nullcontext():
-                parsed = parse_query(text)
-                if parsed.predicates:
-                    raise QueryError(
-                        "this query has WHERE predicates; set it up with "
-                        "prepare_sql() before ingesting elements"
-                    )
-                return self.answer(parsed.query)
+        with _OBS.span(
+            "engine.sql", sql=text.strip()
+        ) if _OBS.enabled else nullcontext():
+            parsed = parse_query(text)
+            if parsed.predicates:
+                raise QueryError(
+                    "this query has WHERE predicates; set it up with "
+                    "prepare_sql() before ingesting elements"
+                )
+            return self.answer(parsed.query)
 
     @staticmethod
     def _streams_named_by(query: Query) -> tuple[str, ...]:
@@ -375,22 +362,15 @@ class StreamEngine:
 
     def answer(self, query: Query) -> float:
         """Approximate answer to a §2.1 query from the maintained synopses."""
-        if _METRICS.enabled:
+        if _OBS.enabled:
             _METRICS.count("engine.queries")
             _METRICS.count(f"engine.queries.{type(query).__name__}")
-        if _PROFILER.enabled:
-            _PROFILER.mark("engine.answer")
-        if _RECORDER.enabled:
-            _RECORDER.pulse("queries")
-        with _METRICS.timer(
-            "engine.answer.seconds"
-        ) if _METRICS.enabled else nullcontext():
-            with _TRACER.span(
-                "engine.answer", query=type(query).__name__
-            ) if _TRACER.enabled else nullcontext() as sp:
-                result = self._answer(query)
-                if sp is not None:
-                    sp.set(estimate=result)
+        with _OBS.span(
+            "engine.answer", query=type(query).__name__
+        ) if _OBS.enabled else nullcontext() as sp:
+            result = self._answer(query)
+            if sp is not None:
+                sp.set(estimate=result)
         return result
 
     def _answer(self, query: Query) -> float:
@@ -475,15 +455,15 @@ class StreamEngine:
                 realized / abs(exact) if exact != 0 else float("inf")
             )
             audit.covered = covered
-            if _METRICS.enabled:
+            if _OBS.enabled:
                 _METRICS.gauge("monitor.shadow.coverage", self._shadow.coverage())
                 _METRICS.gauge("monitor.audit.realized_error", realized)
             if alert is not None:
                 _AUDIT.alert(alert)
-                if _METRICS.enabled:
+                if _OBS.enabled:
                     _METRICS.count("monitor.drift.alerts")
                     _METRICS.gauge("monitor.drift.last_coverage", alert.coverage)
-        if _METRICS.enabled:
+        if _OBS.enabled:
             _METRICS.count("monitor.audits.enriched")
 
     def _point(self, stream: str, value: int) -> float:

@@ -7,9 +7,10 @@ including per-level descent spans), the four ESTSKIMJOINSIZE sub-join
 terms with their per-table median boosting, ``StreamEngine``
 ingest/answer/SQL, and the distributed site/coordinator round-trips.
 
-Recording is **off by default**; every hook is guarded by a single
-``TRACER.enabled`` attribute read — the same near-zero disabled-cost
-contract as ``repro.obs`` (see ``tests/test_trace_overhead.py``).
+Recording is **off by default**; every hook opens its span through
+``repro.obs.OBS.span`` behind a single ``OBS.enabled`` attribute read —
+the same near-zero disabled-cost contract as ``repro.obs`` (see
+``tests/test_trace_overhead.py``).
 
 Typical use::
 
@@ -56,6 +57,13 @@ from .tracer import DEFAULT_MAX_SPANS, Span, SpanTracer
 
 #: The process-wide tracer every built-in instrumentation hook records to.
 TRACER = SpanTracer(enabled=False)
+
+try:  # pragma: no cover - exercised via the standalone import test
+    from ..obs.switch import OBS as _OBS
+except ImportError:  # standalone layout: no switch to report to
+    pass
+else:
+    _OBS.register(tracer=TRACER)
 
 
 def enable() -> None:

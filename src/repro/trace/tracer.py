@@ -12,9 +12,9 @@ skim threshold T, sub-join term, site id) and explicit parent links.
 The design contract is the same as :class:`repro.obs.MetricsRegistry`:
 
 * one process-wide tracer (``repro.trace.TRACER``), **off by default**;
-* every instrumentation hook guards on a single ``TRACER.enabled``
-  attribute read, so a disabled tracer costs one branch per call site
-  (``tests/test_trace_overhead.py`` enforces the bound);
+* hook sites open spans through ``repro.obs.OBS.span`` behind a single
+  ``OBS.enabled`` attribute read, so a disabled tracer costs one branch
+  per call site (``tests/test_trace_overhead.py`` enforces the bound);
 * **no third-party imports** — ``repro.trace`` loads without numpy;
 * bounded memory: at most ``max_spans`` finished spans are kept, the
   rest are counted in ``dropped`` instead of silently discarded.
@@ -30,6 +30,19 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from typing import Any, Iterator
+
+try:  # pragma: no cover - exercised via the standalone import test
+    from ..obs.switch import Sink
+except ImportError:  # standalone layout: a plain flag, no switch to keep in step
+    class Sink:  # type: ignore[no-redef]
+        def __init__(self, enabled: bool = False) -> None:
+            self.enabled = enabled
+
+        def enable(self) -> None:
+            self.enabled = True
+
+        def disable(self) -> None:
+            self.enabled = False
 
 #: Default cap on retained finished spans (a traced query emits tens of
 #: spans; this bounds memory even if tracing is left on during ingest).
@@ -88,24 +101,24 @@ class Span:
         )
 
 
-class SpanTracer:
+class SpanTracer(Sink):
     """Process-wide recorder of nested query-path spans.
 
-    Usage (the hooks inside the library follow exactly this shape)::
+    Usage::
 
-        if TRACER.enabled:
-            with TRACER.span("skim", kind="flat", threshold=t) as sp:
-                ...
+        with TRACER.span("skim", kind="flat", threshold=t) as sp:
+            ...
+            if sp is not None:
                 sp.set(dense=count)
 
-    A span opened while the tracer is disabled is silently not recorded
-    (``span`` self-guards), so a call site that forgets the enabled
-    check cannot corrupt state — it only pays the cost of a no-op
-    context manager.
+    (the library's own hook sites go through ``OBS.span``, which opens
+    the same span).  A span opened while the tracer is disabled is
+    silently not recorded (``span`` yields ``None``), so a call site that
+    forgets the enabled check cannot corrupt state — it only pays the
+    cost of a no-op context manager.
     """
 
     __slots__ = (
-        "enabled",
         "max_spans",
         "dropped",
         "_spans",
@@ -117,23 +130,13 @@ class SpanTracer:
     def __init__(self, enabled: bool = False, max_spans: int = DEFAULT_MAX_SPANS) -> None:
         if max_spans < 1:
             raise ValueError(f"max_spans must be >= 1, got {max_spans}")
-        self.enabled = enabled
+        super().__init__(enabled)
         self.max_spans = max_spans
         self.dropped = 0
         self._spans: list[Span] = []
         self._stack: list[Span] = []
         self._next_id = 1
         self._epoch = time.perf_counter()
-
-    # -- switch ------------------------------------------------------------
-
-    def enable(self) -> None:
-        """Turn span recording on (idempotent)."""
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Turn span recording off; finished spans are kept."""
-        self.enabled = False
 
     def reset(self) -> None:
         """Drop all finished spans, restart ids and the timestamp epoch
@@ -210,10 +213,12 @@ class SpanTracer:
         its per-origin lanes on.
 
         Timestamps stay in the origin's epoch.  ``max_spans`` is
-        respected (overflow counts into ``dropped``).  Administrative —
-        callers guard with ``TRACER.enabled`` like every other hook.
+        respected (overflow counts into ``dropped``).  Like every
+        recording method it is a no-op while the tracer is disabled.
         Returns the number of spans kept.
         """
+        if not self.enabled:
+            return 0
         id_map: dict[int, int] = {}
         for record in spans:
             id_map[int(record["id"])] = self._next_id

@@ -29,23 +29,9 @@ from repro.analysis.engine import iter_python_files
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
-RULE_IDS = [
-    "R1",
-    "R10",
-    "R11",
-    "R12",
-    "R13",
-    "R2",
-    "R3",
-    "R4",
-    "R5",
-    "R6",
-    "R7",
-    "R8",
-    "R9",
-]
+RULE_IDS = ["R1", "R10", "R11", "R2", "R3", "R4", "R5", "R6", "R9"]
 
-#: rule id -> (bad fixture, expected finding count, good fixture)
+#: fixture id -> (bad fixture, expected finding count, good fixture)
 FIXTURE_MAP = {
     "R1": ("src/repro/sketches/bad_r1.py", 3, "src/repro/sketches/good_r1.py"),
     "R2": ("src/repro/sketches/bad_r2.py", 4, "src/repro/sketches/good_r2.py"),
@@ -64,6 +50,21 @@ FIXTURE_MAP = {
         2,
         "src/repro/distributed/good_r13.py",
     ),
+}
+
+#: The guard fixtures of the retired per-sink rules R7 (tracer), R8
+#: (audit), R12 (profiler/recorder) and R13 (telemetry capture) all feed
+#: the one guarded-instrumentation rule R3 now; every other fixture id
+#: is its own rule's.
+FIXTURE_RULE = {"R7": "R3", "R8": "R3", "R12": "R3", "R13": "R3"}
+
+#: Lines each guard fixture must be flagged on (as under the old rules).
+GUARD_FIXTURE_LINES = {
+    "R3": [8, 9],
+    "R7": [8, 9],
+    "R8": [8, 9],
+    "R12": [8, 10],
+    "R13": [8, 16],
 }
 
 
@@ -89,18 +90,42 @@ class TestRegistry:
 
 
 class TestRulesOnFixtures:
-    @pytest.mark.parametrize("rule_id", RULE_IDS)
-    def test_bad_fixture_fires(self, rule_id):
-        bad, expected, _ = FIXTURE_MAP[rule_id]
+    @pytest.mark.parametrize("fixture_id", sorted(FIXTURE_MAP))
+    def test_bad_fixture_fires(self, fixture_id):
+        bad, expected, _ = FIXTURE_MAP[fixture_id]
         report = analyze_paths([str(FIXTURES / bad)])
+        rule_id = FIXTURE_RULE.get(fixture_id, fixture_id)
         assert {f.rule for f in report.findings} == {rule_id}
         assert len(report.findings) == expected
+        if fixture_id in GUARD_FIXTURE_LINES:
+            lines = sorted(f.line for f in report.findings)
+            assert lines == GUARD_FIXTURE_LINES[fixture_id]
 
-    @pytest.mark.parametrize("rule_id", RULE_IDS)
-    def test_good_fixture_is_clean(self, rule_id):
-        _, _, good = FIXTURE_MAP[rule_id]
+    @pytest.mark.parametrize("fixture_id", sorted(FIXTURE_MAP))
+    def test_good_fixture_is_clean(self, fixture_id):
+        _, _, good = FIXTURE_MAP[fixture_id]
         report = analyze_paths([str(FIXTURES / good)])
         assert report.findings == []
+
+    def test_obs_guard_shapes_are_clean(self):
+        report = analyze_paths([str(FIXTURES / "src/repro/streams/good_obs.py")])
+        assert report.findings == []
+
+    def test_obs_guard_does_not_cover_audit_or_open_spans(self):
+        source = (
+            "from ..monitor import AUDIT as _AUDIT\n"
+            "from ..obs import OBS as _OBS\n"
+            "\n"
+            "def answer(audit):\n"
+            "    with _OBS.span('engine.answer'):\n"
+            "        pass\n"
+            "    if _OBS.enabled:\n"
+            "        _AUDIT.record(audit)\n"
+            "    if _AUDIT.enabled:\n"
+            "        _AUDIT.record(audit)\n"
+        )
+        findings, _ = analyze_source(source, "src/repro/streams/inline.py")
+        assert [(f.rule, f.line) for f in findings] == [("R3", 5), ("R3", 8)]
 
     def test_findings_carry_location(self):
         bad, _, _ = FIXTURE_MAP["R1"]

@@ -389,6 +389,17 @@ class TestSuppressionsAudit:
         _, exit_code = audit([str(target)], strict=False, with_age=False)
         assert exit_code == 0
 
+    def test_strict_fails_on_unregistered_rule_id(self, tmp_path, capsys):
+        target = tmp_path / "mod.py"
+        target.write_text("y = 2  # repro: noqa[R99] -- retired rule\n")
+        _, exit_code = audit([str(target)], strict=True, with_age=False)
+        assert exit_code == 1
+        assert main(["suppressions", str(target), "--strict", "--no-blame"]) == 1
+        assert "unknown rule id R99" in capsys.readouterr().err
+        target.write_text("y = 2  # repro: noqa[R3] -- live rule\n")
+        _, exit_code = audit([str(target)], strict=True, with_age=False)
+        assert exit_code == 0
+
     def test_cli_subcommand(self, tmp_path, capsys):
         target = tmp_path / "mod.py"
         target.write_text("x = 1  # repro: noqa[R1] -- why not\n")

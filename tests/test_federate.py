@@ -87,7 +87,7 @@ class TestWireSchema:
         with tracer.span("round", site="a"):
             tracer.instant("mark")
         shipper = TelemetryShipper(
-            "site.a", registry=registry, tracer=tracer, recorder=None, audit=None
+            "site.a", registry=registry, tracer=tracer, audit=None
         )
         doc = shipper.capture_telemetry()
         assert telemetry_from_json(telemetry_to_json(doc)) == doc
@@ -121,7 +121,7 @@ class TestWireSchema:
         for i in range(10):
             registry.observe("lat", float(i))
         shipper = TelemetryShipper(
-            "o", registry=registry, tracer=tracer, recorder=None, audit=None
+            "o", registry=registry, tracer=tracer, audit=None
         )
         metrics = telemetry_to_metrics(shipper.capture_telemetry())
         summary = metrics["histograms"]["lat"]
@@ -140,7 +140,7 @@ class TestShipperCapture:
     def test_counters_ship_as_deltas(self):
         registry, tracer = fresh_pair()
         shipper = TelemetryShipper(
-            "o", registry=registry, tracer=tracer, recorder=None, audit=None
+            "o", registry=registry, tracer=tracer, audit=None
         )
         registry.count("updates", 5)
         first = shipper.capture_telemetry()
@@ -153,7 +153,7 @@ class TestShipperCapture:
     def test_idle_capture_ships_nothing(self):
         registry, tracer = fresh_pair()
         shipper = TelemetryShipper(
-            "o", registry=registry, tracer=tracer, recorder=None, audit=None
+            "o", registry=registry, tracer=tracer, audit=None
         )
         registry.count("updates", 5)
         shipper.capture_telemetry()
@@ -171,7 +171,7 @@ class TestShipperCapture:
         """
         registry, tracer = fresh_pair()
         shipper = TelemetryShipper(
-            "o", registry=registry, tracer=tracer, recorder=None, audit=None
+            "o", registry=registry, tracer=tracer, audit=None
         )
         registry.count("updates", 5)
         shipper.capture_telemetry()
@@ -183,7 +183,7 @@ class TestShipperCapture:
     def test_tracer_reset_reships_spans_at_cursor(self):
         registry, tracer = fresh_pair()
         shipper = TelemetryShipper(
-            "o", registry=registry, tracer=tracer, recorder=None, audit=None
+            "o", registry=registry, tracer=tracer, audit=None
         )
         with tracer.span("round"):
             pass
@@ -199,7 +199,6 @@ class TestShipperCapture:
             "o",
             registry=registry,
             tracer=tracer,
-            recorder=None,
             audit=None,
             max_spans=3,
         )
@@ -307,7 +306,7 @@ class TestSpanStitching:
             with tracer.span("dist.ingest"):
                 pass
         shipper = TelemetryShipper(
-            origin, registry=registry, tracer=tracer, recorder=None, audit=None
+            origin, registry=registry, tracer=tracer, audit=None
         )
         return shipper.capture_telemetry()["spans"]
 

@@ -1,11 +1,12 @@
 """Tests for ``repro.profile`` — sampling profiler + flight recorder.
 
-Covers: the sampler's hot-path contract (disabled ``mark`` is free,
-samples attribute to the innermost tracer span), the exporters
+Covers: the sampler's contract (disabled sampling is free, samples
+attribute to the innermost tracer span and the innermost ``OBS.span``
+activity), the exporters
 (JSONL/collapsed/speedscope round trips, the ``top`` aggregate), the
 telemetry ring's Hokusai-style aging invariants (byte bound, tick
 conservation, chronology), the flight recorder's tick pipeline
-(pulses + obs counter deltas + audit gauges), the monitor's
+(obs counter deltas + audit gauges), the monitor's
 ``/profile``/``/timeseries``/``/dashboard`` endpoints, and a
 concurrent-scrape stress run against a live ingesting engine.
 """
@@ -23,8 +24,9 @@ import pytest
 from repro.core.config import SketchParameters
 from repro.monitor import AUDIT
 from repro.monitor.service import MonitorServer, live_source, parse_prometheus
-from repro.obs import METRICS
+from repro.obs import METRICS, OBS
 from repro.profile import (
+    PROFILER,
     FlightRecorder,
     SamplingProfiler,
     TelemetryFrame,
@@ -80,21 +82,22 @@ SYNTHETIC = _make_snapshot(
 
 
 class TestSamplingProfiler:
-    def test_disabled_mark_and_sample_are_noops(self):
+    def test_disabled_sample_is_noop(self):
         profiler = SamplingProfiler(enabled=False)
-        profiler.mark("engine.ingest")
         assert profiler.activity is None
         assert profiler.sample_once() == 0
         assert profiler.samples() == []
 
     def test_sample_once_attributes_span_and_activity(self):
-        profiler = SamplingProfiler(enabled=True)
-        TRACER.enable()
-        profiler.mark("engine.answer")
-        with TRACER.span("estimate.skim_join"):
-            assert profiler.sample_once() >= 1
+        PROFILER.enable()
+        with OBS.span("engine.answer"):
+            TRACER.enable()
+            with TRACER.span("estimate.skim_join"):
+                assert PROFILER.sample_once() >= 1
+        # The activity is the OBS span's name only while the span is open.
+        assert PROFILER.activity is None
         ours = [
-            s for s in profiler.samples() if s.thread_id == threading.get_ident()
+            s for s in PROFILER.samples() if s.thread_id == threading.get_ident()
         ]
         assert len(ours) == 1
         sample = ours[0]
@@ -237,21 +240,20 @@ class TestTelemetryRing:
 
 
 class TestFlightRecorder:
-    def test_disabled_pulse_and_tick_are_noops(self):
+    def test_disabled_tick_is_noop(self):
         recorder = FlightRecorder(enabled=False)
-        recorder.pulse("ingest.elements", 10)
+        METRICS.enable()
+        METRICS.count("engine.elements.seen", 10)
         assert recorder.tick() is None
         assert recorder.frames() == []
 
-    def test_tick_combines_pulses_counters_and_audit_state(self):
+    def test_tick_combines_counters_and_audit_state(self):
         recorder = FlightRecorder(enabled=True)
         METRICS.enable()
         METRICS.count("engine.elements.seen", 500)
-        recorder.pulse("ingest.elements", 500)
         frame = recorder.tick()
         assert frame is not None
-        assert frame.counts["ingest.elements"] == 500.0
-        assert frame.counts["engine.elements.seen"] == 500.0
+        assert frame.counts == {"engine.elements.seen": 500.0}
         assert frame.gauges["audit.alerts"] == 0.0
         # Counters are diffed: an unchanged total contributes no delta.
         second = recorder.tick()
@@ -262,17 +264,19 @@ class TestFlightRecorder:
 
     def test_stop_closes_final_window(self):
         recorder = FlightRecorder(enabled=False, interval=0.05)
+        METRICS.enable()
         recorder.start()
-        recorder.pulse("queries", 3)
+        METRICS.count("engine.queries", 3)
         recorder.stop()
         assert not recorder.enabled
         frames = recorder.frames()
-        assert sum(f.counts.get("queries", 0.0) for f in frames) == 3.0
+        assert sum(f.counts.get("engine.queries", 0.0) for f in frames) == 3.0
         recorder.stop()  # idempotent
 
     def test_snapshot_round_trips_as_jsonl(self):
         recorder = FlightRecorder(enabled=True)
-        recorder.pulse("queries", 2)
+        METRICS.enable()
+        METRICS.count("engine.queries", 2)
         recorder.tick()
         snapshot = recorder.snapshot()
         validate_timeseries(snapshot)
@@ -285,6 +289,59 @@ class TestFlightRecorder:
             FlightRecorder(interval=0.0)
         with pytest.raises(ValueError):
             FlightRecorder().start(interval=-1.0)
+
+
+class TestEventsCountOnce:
+    """One event is one count in every view of it.
+
+    Frames are windows over the registry's counters and the telemetry
+    envelope ships those same counters, so with the registry and the
+    recorder both on, ``k`` joins read ``k`` in a frame, in the registry
+    and in the shipped snapshot — never ``2k``.
+    """
+
+    K = 3
+
+    def _joins(self, rng) -> None:
+        from repro.core.estimator import SkimmedSketchSchema
+
+        schema = SkimmedSketchSchema(64, 5, 1 << 10, seed=2)
+        f, g = schema.create_sketch(), schema.create_sketch()
+        f.update_bulk(rng.integers(0, 1 << 10, size=2_000))
+        g.update_bulk(rng.integers(0, 1 << 10, size=2_000))
+        for _ in range(self.K):
+            f.est_join_size(g)
+
+    def test_frame_counts_each_join_once(self, rng):
+        from repro.profile import RECORDER
+
+        METRICS.enable()
+        RECORDER.enable()
+        RECORDER.tick()
+        self._joins(rng)
+        frame = RECORDER.tick()
+        assert METRICS.counter_value("estimate.joins") == self.K
+        assert frame.counts["estimate.joins"] == self.K
+
+    def test_shipped_counters_equal_registry_deltas(self, rng):
+        from repro.federate import TelemetryShipper, telemetry_to_metrics
+        from repro.profile import RECORDER
+
+        METRICS.enable()
+        RECORDER.enable()
+        shipper = TelemetryShipper("site.a")
+        shipper.capture_telemetry()
+        before = dict(METRICS.snapshot()["counters"])
+        self._joins(rng)
+        after = METRICS.snapshot()["counters"]
+        deltas = {
+            name: value - before.get(name, 0.0)
+            for name, value in after.items()
+            if value != before.get(name, 0.0)
+        }
+        shipped = telemetry_to_metrics(shipper.capture_telemetry())["counters"]
+        assert shipped == deltas
+        assert shipped["estimate.joins"] == self.K
 
 
 def _get(url: str) -> tuple[int, str, dict]:
@@ -307,12 +364,13 @@ class TestMonitorProfileEndpoints:
 
         PROFILER.enable()
         RECORDER.enable()
+        METRICS.enable()
         TRACER.enable()
         with TRACER.span("estimate.skim_join"):
             PROFILER.sample_once()
-        RECORDER.pulse("ingest.elements", 42)
+        METRICS.count("engine.elements.seen", 42)
         RECORDER.tick()
-        RECORDER.pulse("ingest.elements", 17)
+        METRICS.count("engine.elements.seen", 17)
         time.sleep(0.01)  # sparklines need two frames with real width
         RECORDER.tick()
         with MonitorServer(live_source(), port=0) as server:
@@ -326,7 +384,7 @@ class TestMonitorProfileEndpoints:
             assert status == 200
             series = json.loads(body)
             assert series["kind"] == "repro.timeseries"
-            assert series["frames"][0]["counts"]["ingest.elements"] == 42.0
+            assert series["frames"][0]["counts"]["engine.elements.seen"] == 42.0
 
             status, body, _ = _get(f"{server.url}/dashboard")
             assert status == 200
