@@ -115,6 +115,16 @@ class SkimmedSketchSchema:
         """A fresh empty sketch bound to this schema."""
         return SkimmedSketch(self)
 
+    def ensure_precomputed(self) -> bool:
+        """Build the flat hash schema's lookup tables iff the domain is
+        small enough (see :meth:`HashSketchSchema.ensure_precomputed`).
+
+        Returns False for a dyadic schema, whose levels keep evaluating
+        the polynomials.
+        """
+        inner = self._inner_schema
+        return isinstance(inner, HashSketchSchema) and inner.ensure_precomputed()
+
     def sketch_of(self, frequencies: "FrequencyVector") -> "SkimmedSketch":
         """Convenience: a sketch pre-loaded with a whole frequency vector."""
         sketch = self.create_sketch()

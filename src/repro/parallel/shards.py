@@ -13,11 +13,11 @@ intra-process parallelism).
   parallelism-off reference path, overhead-free by construction);
 * ``"shm"`` — one persistent worker process per shard, fed by a bounded
   queue (:class:`~repro.parallel.pool.PersistentWorkerPool`).  Workers
-  receive a JSON schema spec once (schema-only construction — seeded
-  randomness rebuilds identical hash families) and scatter-add into a
-  per-shard ``multiprocessing.shared_memory`` segment the parent has
-  mapped too, so flush ships no counter state at all (zero-copy merge;
-  see :mod:`repro.parallel.shm`).
+  receive the ingestor's schema object once — with its hash/sign lookup
+  tables already built when the domain is within budget — and
+  scatter-add into a per-shard ``multiprocessing.shared_memory`` segment
+  the parent has mapped too, so flush ships no counter state at all
+  (zero-copy merge; see :mod:`repro.parallel.shm`).
 
 ``"serial"`` ingests synchronously; ``"shm"`` pipelines batches through
 bounded queues and surfaces worker failures at the next flush/merge
@@ -32,7 +32,6 @@ bit-identical to serial ingestion.
 
 from __future__ import annotations
 
-import json
 from contextlib import nullcontext
 from typing import Any, Protocol, Sequence
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..obs import METRICS as _METRICS, OBS as _OBS
-from ..sketches.serialize import AnySketch, sketch_spec
+from ..sketches.serialize import AnySketch
 
 __all__ = ["INGEST_MODES", "ShardedIngestor", "partition_batch"]
 
@@ -176,8 +175,7 @@ class ShardedIngestor:
             return _SerialStrategy()
         from .shm import _SharedMemoryStrategy
 
-        spec_json = json.dumps(sketch_spec(self._shards[0]), sort_keys=True)
-        return _SharedMemoryStrategy(self._workers, self._shards, spec_json)
+        return _SharedMemoryStrategy(self._workers, self._schema, self._shards)
 
     @property
     def workers(self) -> int:
@@ -268,7 +266,8 @@ class ShardedIngestor:
 
         Non-empty only in ``"shm"`` mode after a flush (``merged()`` / ``reset()`` /
         ``close()``): each entry is ``(shard_index, {"worker.batches":
-        ..., "worker.elements": ...})`` — the vitals the worker's
+        ..., "worker.elements": ..., "worker.drain_values": ...,
+        "worker.drain_seconds": ...})`` — the vitals the worker's
         process-local singletons couldn't publish.  Draining clears the
         pending stats, so each call reports new activity only.
         """

@@ -11,18 +11,26 @@ memory the parent's ``merged()`` sums — a flush ships only a few floats
 of tracked mass plus the worker's ingest vitals over the reply queue,
 never counter state.
 
-Throughput model (why this wins even on a single core): each worker
-owns its value partition exclusively, so it accumulates the shard's
-*net* frequency vector in a dense domain-sized accumulator — one
-``bincount`` per batch, O(n + domain) — and defers all hashing to the
-flush barrier, where the accumulated prefix is applied through
-``update_coalesced`` once.  Above the batch-size threshold documented
-in docs/PERFORMANCE.md that is strictly less arithmetic than serial
-per-batch ingest.  Domains larger than :data:`DENSE_DOMAIN_BUDGET`
-fall back to per-batch ``update_bulk`` into the attached counters
-(zero-copy at flush either way).  With integer weights every
-intermediate sum is exact in float64, so both paths are bit-identical
-to serial ingestion.
+Workers build their shard sketch from the parent's own schema object,
+passed in their config.  Before the pool starts, a flat hash schema
+builds its bucket/sign lookup tables in the parent (under the usual
+``AUTO_PRECOMPUTE_MAX_ENTRIES`` budget — the same build the parent's
+first skim would make), so under ``fork`` every worker hashes through
+those tables as shared copy-on-write pages, and under ``spawn`` they
+travel pickled with the schema.  Dyadic hierarchies and over-budget
+domains keep evaluating the polynomials.
+
+Throughput model: each worker owns its value partition exclusively,
+so it accumulates the shard's *net* frequency vector in a dense
+domain-sized accumulator — one ``bincount`` per batch, O(n + domain) —
+and defers all hashing to the flush barrier, where the accumulated
+prefix is applied through ``update_coalesced`` once.  Above the
+batch-size threshold documented in docs/PERFORMANCE.md that is
+strictly less arithmetic than serial per-batch ingest.  Domains larger
+than :data:`DENSE_DOMAIN_BUDGET` fall back to per-batch ``update_bulk``
+into the attached counters (zero-copy at flush either way).  With
+integer weights every intermediate sum is exact in float64, so both
+paths are bit-identical to serial ingestion.
 
 Lifecycle: segments are named ``repro_shm_*`` and unlinked exactly once
 by the creating process — on ``close()``, or by a ``weakref.finalize``
@@ -34,8 +42,8 @@ working after the segments are gone.
 
 from __future__ import annotations
 
-import json
 import os
+import time
 import traceback
 import uuid
 import weakref
@@ -44,11 +52,14 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..core.estimator import SkimmedSketchSchema
 from ..errors import DomainError
+from ..sketches.hash_sketch import HashSketchSchema
 from .pool import PersistentWorkerPool
 
 if TYPE_CHECKING:
     from ..sketches.serialize import AnySketch
+    from .shards import _SchemaLike
 
 __all__ = [
     "DENSE_DOMAIN_BUDGET",
@@ -64,7 +75,12 @@ SEGMENT_PREFIX = "repro_shm_"
 #: through ``update_bulk`` instead of deferred to flush.
 DENSE_DOMAIN_BUDGET = 1 << 20
 
-_FRESH_STATS = {"worker.batches": 0.0, "worker.elements": 0.0}
+_FRESH_STATS = {
+    "worker.batches": 0.0,
+    "worker.elements": 0.0,
+    "worker.drain_values": 0.0,
+    "worker.drain_seconds": 0.0,
+}
 
 
 def active_segment_names() -> list[str]:
@@ -159,17 +175,16 @@ def _worker_main_shm(tasks, replies, config: dict) -> None:
 
     Messages: ``("batch", values, weights)`` fire-and-forget;
     ``("flush",)`` drains the dense accumulator into the shared counters
-    and replies ``(tracked_masses, stats)``; ``("reset",)`` zeroes
+    and replies ``(tracked_masses, stats)`` (stats include the distinct
+    values the drain applied and its seconds); ``("reset",)`` zeroes
     everything; ``("stop",)`` exits.  A failed batch parks its traceback
     and reports it at the next barrier.
     """
-    from ..sketches.serialize import sketch_from_spec
-
     segment = shared_memory.SharedMemory(name=config["segment"])
     try:
-        sketch = sketch_from_spec(json.loads(config["spec_json"]))
+        sketch = config["schema"].create_sketch()
         sketch.attach_counters(_attach_blocks(segment, config["layout"]))
-        domain = int(config["domain_size"])
+        domain = int(sketch.domain_size)
         dense = (
             np.zeros(domain, dtype=np.float64)
             if domain <= config["dense_budget"]
@@ -218,7 +233,14 @@ def _worker_main_shm(tasks, replies, config: dict) -> None:
             try:
                 if kind == "flush":
                     if dense is not None:
-                        pending_mass = _drain_dense(sketch, dense, pending_mass)
+                        start = time.perf_counter()
+                        stats["worker.drain_values"] += _drain_dense(
+                            sketch, dense, pending_mass
+                        )
+                        stats["worker.drain_seconds"] += (
+                            time.perf_counter() - start
+                        )
+                        pending_mass = 0.0
                     replies.put(("ok", (sketch.tracked_masses(), stats)))
                     stats = dict(_FRESH_STATS)
                 elif kind == "reset":
@@ -246,8 +268,9 @@ def _worker_main_shm(tasks, replies, config: dict) -> None:
 
 def _drain_dense(
     sketch: "AnySketch", dense: np.ndarray, pending_mass: float
-) -> float:
-    """Apply the accumulated net frequencies through the linear algebra."""
+) -> int:
+    """Apply the accumulated net frequencies through the linear algebra
+    and zero the accumulator; returns the distinct values applied."""
     nonzero = np.nonzero(dense)[0]
     if nonzero.size:
         sketch.update_coalesced(nonzero, dense[nonzero], pending_mass)
@@ -258,7 +281,7 @@ def _drain_dense(
             [mass + pending_mass for mass in sketch.tracked_masses()]
         )
     dense[:] = 0.0
-    return 0.0
+    return int(nonzero.size)
 
 
 # -- the strategy --------------------------------------------------------------
@@ -274,8 +297,12 @@ class _SharedMemoryStrategy:
     """
 
     def __init__(
-        self, workers: int, shards: list["AnySketch"], spec_json: str
+        self, workers: int, schema: "_SchemaLike", shards: list["AnySketch"]
     ) -> None:
+        # One table build, in the parent, before any worker exists: the
+        # workers inherit it instead of each hashing by polynomial.
+        if isinstance(schema, (HashSketchSchema, SkimmedSketchSchema)):
+            schema.ensure_precomputed()
         layout = _segment_layout(shards[0])
         nbytes = _layout_bytes(layout)
         segments = [_create_segment(nbytes) for _ in range(workers)]
@@ -286,8 +313,7 @@ class _SharedMemoryStrategy:
                 {
                     "segment": segment.name,
                     "layout": layout,
-                    "spec_json": spec_json,
-                    "domain_size": int(shards[0].domain_size),
+                    "schema": schema,
                     "dense_budget": DENSE_DOMAIN_BUDGET,
                 }
                 for segment in segments

@@ -192,7 +192,10 @@ class HashSketchSchema:
             and int(values.min()) >= 0
             and int(values.max()) < self.domain_size
         ):
-            return self._bucket_table[:, values], self._sign_table[:, values]
+            return (
+                np.take(self._bucket_table, values, axis=1),
+                np.take(self._sign_table, values, axis=1),
+            )
         return self.buckets.buckets(values), self.signs.signs(values)
 
     def create_sketch(self) -> "HashSketch":
@@ -561,7 +564,12 @@ class HashSketch(StreamSynopsis):
         values), all ``depth`` hash/sign functions are evaluated in a
         single vectorised pass (lookup tables when precomputed), and the
         whole ``(depth, n)`` update lands with one flat ``bincount``
-        scatter-add instead of a Python loop over tables.
+        scatter-add instead of a Python loop over tables.  Each operand
+        is cast once to the dtype the scatter consumes (``int64``
+        indices, ``float64`` weights) and the offsets and masses are
+        applied in place, so no mixed-dtype broadcast runs; table hits
+        (``int32``/``int8``) always copy here, polynomial results are
+        fresh arrays already in those dtypes.
         """
         self._version += 1
         if not coalesced:
@@ -569,9 +577,12 @@ class HashSketch(StreamSynopsis):
         if values.size == 0:
             return
         buckets, signs = self._schema.bulk_tables(values)
-        flat = (buckets + self._flat_offsets[:, None]).ravel()
+        flat = buckets.astype(np.int64, copy=False)
+        flat += self._flat_offsets[:, None]
+        weighted = signs.astype(np.float64, copy=False)
+        weighted *= masses
         self._counters += np.bincount(
-            flat, weights=(signs * masses).ravel(), minlength=self._counters.size
+            flat.ravel(), weights=weighted.ravel(), minlength=self._counters.size
         ).reshape(self._schema.depth, self._schema.width)
 
     def _check_value(self, value: int) -> None:

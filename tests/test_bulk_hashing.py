@@ -7,7 +7,10 @@ Three equivalences carry the whole optimisation:
   equals coalescing the shifted values from scratch;
 * the fused flat scatter-add in ``HashSketch._apply_point_masses`` (and
   the precompute-table lookup path) equals the straightforward
-  one-bincount-per-table kernel it replaced.
+  one-bincount-per-table kernel it replaced;
+* that kernel casts table hits (``int32`` buckets, ``int8`` signs) to
+  the scatter's dtypes without changing a bit, at the domain's edge
+  values, at degenerate widths and for zero or negative masses.
 
 Weights are drawn from dyadic rationals so every grouping order sums
 bit-identically and the assertions can use exact equality.
@@ -138,3 +141,86 @@ class TestFusedKernel:
         assert sketch.absolute_mass == 14.0
         sketch.update_coalesced(values, -masses, 0.0)  # exact subtraction
         assert sketch.absolute_mass == 14.0
+
+
+class TestDtypeMatchedKernel:
+    """The one gather/scatter kernel serial ingest, shard drains and skim
+    subtraction share: table path == polynomial path == per-table
+    reference, bit for bit."""
+
+    @staticmethod
+    def _schemas(width, seed):
+        plain = HashSketchSchema(width, 5, DOMAIN, seed=seed)
+        tabled = HashSketchSchema(width, 5, DOMAIN, seed=seed)
+        tabled.precompute()
+        return plain, tabled
+
+    @staticmethod
+    def _coalesced(schema, values, masses):
+        sketch = schema.create_sketch()
+        sketch.update_coalesced(values, masses)
+        return sketch.counters
+
+    @given(
+        masses=st.lists(st.integers(-4, 4), min_size=DOMAIN, max_size=DOMAIN),
+        seed=st.integers(0, 5),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_integer_masses_with_zero_and_negative(self, masses, seed):
+        values = np.arange(DOMAIN, dtype=np.int64)
+        masses = np.asarray(masses, dtype=np.float64)
+        plain, tabled = self._schemas(32, seed)
+        reference = reference_apply(plain, values, masses)
+        assert np.array_equal(self._coalesced(plain, values, masses), reference)
+        assert np.array_equal(self._coalesced(tabled, values, masses), reference)
+
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_domain_edge_values(self, precomputed):
+        schema = HashSketchSchema(32, 5, DOMAIN, seed=3)
+        if precomputed:
+            schema.precompute()
+        values = np.asarray([0, DOMAIN - 1, 0, DOMAIN - 1, 0], dtype=np.int64)
+        weights = np.asarray([1.0, -2.0, 3.0, 5.0, -1.0], dtype=np.float64)
+        sketch = schema.create_sketch()
+        sketch.update_bulk(values, weights)
+        assert np.array_equal(
+            sketch.counters, reference_apply(schema, values, weights)
+        )
+        sketch.subtract_frequencies(
+            np.asarray([0, DOMAIN - 1], dtype=np.int64),
+            np.asarray([3.0, 3.0], dtype=np.float64),
+        )
+        assert not sketch.counters.any()
+
+    @given(updates=updates_strategy, width=st.sampled_from([1, 3, 100]))
+    @settings(max_examples=40, deadline=None)
+    def test_width_one_and_non_power_of_two(self, updates, width):
+        values, weights = split(updates)
+        plain, tabled = self._schemas(width, 1)
+        reference = reference_apply(plain, values, weights)
+        for schema in (plain, tabled):
+            sketch = schema.create_sketch()
+            sketch.update_bulk(values, weights)
+            assert np.array_equal(sketch.counters, reference)
+
+    @given(updates=updates_strategy, seed=st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_table_path_equals_polynomial_path(self, updates, seed):
+        values, weights = split(updates)
+        plain, tabled = self._schemas(64, seed)
+        plain_buckets, plain_signs = plain.bulk_tables(values)
+        table_buckets, table_signs = tabled.bulk_tables(values)
+        assert table_buckets.dtype == np.int32 and table_signs.dtype == np.int8
+        assert np.array_equal(plain_buckets, table_buckets)
+        assert np.array_equal(plain_signs, table_signs)
+        uniques, masses = coalesce_updates(values, weights)
+        assert np.array_equal(
+            self._coalesced(plain, uniques, masses),
+            self._coalesced(tabled, uniques, masses),
+        )
+        full = tabled.domain_index()
+        everything = np.ones(DOMAIN, dtype=np.float64)
+        assert np.array_equal(
+            self._coalesced(plain, np.arange(DOMAIN, dtype=np.int64), everything),
+            self._coalesced(tabled, full, everything),
+        )

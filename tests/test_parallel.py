@@ -440,6 +440,18 @@ class TestWorkerTelemetry:
             if name.startswith("parallel.shard.") and name.endswith("worker.batches")
         ]
         assert sum(batches) >= 1.0
+        drained = {
+            name: value
+            for name, value in counters.items()
+            if name.startswith("parallel.shard.")
+            and name.endswith("worker.drain_values")
+        }
+        assert len(drained) == 2
+        assert 0.0 < sum(drained.values()) <= float(n)
+        assert all(
+            counters[name.replace("drain_values", "drain_seconds")] > 0.0
+            for name in drained
+        )
 
     @pytest.mark.parametrize("mode", ["shm"])
     def test_flush_drains_even_while_disabled(self, mode, rng):
@@ -603,3 +615,59 @@ class TestSharedMemoryLifecycle:
 
         assert not (set(active_segment_names()) & created)
         assert "leaked shared_memory" not in result.stderr
+
+
+class TestWorkerHashing:
+    """Shm workers hash through the parent's lookup tables.
+
+    The strategy builds the tables once in the parent before the pool
+    starts and hands every worker the schema object itself, so an
+    in-budget drain never evaluates a polynomial.
+    """
+
+    def test_workers_never_evaluate_polynomials(self, monkeypatch):
+        from repro.hashing.kwise import KWiseHashFamily
+
+        schema = HashSketchSchema(128, 5, DOMAIN, seed=9)
+        assert schema.ensure_precomputed()
+        serial = schema.create_sketch()
+        batches = seeded_batches()
+        for values, weights in batches:
+            serial.update_bulk(values, weights)
+
+        def no_polynomials(self, values):
+            raise AssertionError("a worker evaluated a hash polynomial")
+
+        # Forked workers inherit the patched class.
+        monkeypatch.setattr(KWiseHashFamily, "evaluate", no_polynomials)
+        with ShardedIngestor(schema, workers=2, mode="shm") as ingestor:
+            for values, weights in batches:
+                ingestor.ingest(values, weights)
+            assert states_equal(ingestor.merged(), serial)
+
+    def test_spawned_workers_get_the_pickled_schema(self, monkeypatch):
+        import multiprocessing as mp
+
+        from repro.parallel import pool
+
+        monkeypatch.setattr(pool, "_pool_context", lambda: mp.get_context("spawn"))
+        schema = HashSketchSchema(64, 3, DOMAIN, seed=4)
+        serial = schema.create_sketch()
+        batches = seeded_batches(n=1500, batches=3)
+        with ShardedIngestor(schema, workers=2, mode="shm") as ingestor:
+            for values, weights in batches:
+                serial.update_bulk(values, weights)
+                ingestor.ingest(values, weights)
+            assert states_equal(ingestor.merged(), serial)
+
+    def test_only_flat_schemas_precompute_before_the_pool_starts(self):
+        from repro.core.estimator import SkimmedSketchSchema
+
+        flat = HashSketchSchema(64, 3, DOMAIN, seed=1)
+        dyadic = DyadicSketchSchema(64, 3, DOMAIN, seed=1)
+        with ShardedIngestor(flat, workers=2, mode="shm"), \
+                ShardedIngestor(dyadic, workers=2, mode="shm"):
+            assert flat.precomputed
+            assert not any(level.precomputed for level in dyadic.level_schemas)
+        skimmed = SkimmedSketchSchema(64, 3, DOMAIN, seed=1, dyadic=True)
+        assert not skimmed.ensure_precomputed()
