@@ -65,11 +65,11 @@ examples:
 		echo "== $$script =="; $(PYTHON) $$script || exit 1; \
 	done
 
-# Run one instrumented benchmark and validate the emitted metrics
-# snapshot (schema + required metric names); see docs/OBSERVABILITY.md.
+# Run one instrumented benchmark and validate the emitted telemetry
+# document (schema + required metric names); see docs/OBSERVABILITY.md.
 metrics-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.eval smoke --metrics-out .metrics-smoke.json
-	PYTHONPATH=src $(PYTHON) -m repro.obs .metrics-smoke.json \
+	PYTHONPATH=src $(PYTHON) -m repro.obs validate .metrics-smoke.json \
 		sketch.update.elements skim.passes estimate.joins \
 		skim.seconds eval.experiment.seconds
 	rm -f .metrics-smoke.json
@@ -145,13 +145,17 @@ workloads-smoke:
 # Federated-telemetry gate: prove the merge algebra + wire contracts
 # (selfcheck), run a 3-site distributed round trip with telemetry-enabled
 # sites (merged per-origin metrics, one stitched Perfetto trace, per-origin
-# accumulated snapshots), then scrape everything through a federated
-# monitor (origin-labelled /metrics + /topology health).  See the
-# "Federated telemetry" section of docs/OBSERVABILITY.md.
+# accumulated documents), validate every written document, then scrape
+# everything through a federated monitor (origin-labelled /metrics +
+# /topology health).  See the "Federated telemetry" section of
+# docs/OBSERVABILITY.md.
 federate-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.federate selfcheck
 	PYTHONPATH=src $(PYTHON) -m repro.federate run --sites 3 --rounds 2 \
 		--updates 500 --out-dir .federate-smoke
+	for doc in .federate-smoke/metrics.json .federate-smoke/telemetry.*.json; do \
+		PYTHONPATH=src $(PYTHON) -m repro.obs validate $$doc || exit 1; \
+	done
 	PYTHONPATH=src $(PYTHON) -m repro.monitor selfcheck \
 		--metrics .federate-smoke/metrics.json --min-audits 0 \
 		--federate coordinator=.federate-smoke/metrics.json \

@@ -16,9 +16,14 @@ from contextlib import nullcontext
 
 from ..core.estimator import SkimmedSketch, SkimmedSketchSchema
 from ..errors import IncompatibleSketchError, QueryError
-from ..federate import merge_telemetry, telemetry_size_in_bytes, validate_telemetry
 from ..monitor import AUDIT as _AUDIT
-from ..obs import METRICS as _METRICS, OBS as _OBS
+from ..obs import (
+    METRICS as _METRICS,
+    OBS as _OBS,
+    merge_telemetry,
+    telemetry_size_in_bytes,
+    validate_telemetry,
+)
 from ..trace import TRACER as _TRACER
 from .protocol import ProtocolError, RoundSummary, SketchReport, TraceContext
 
@@ -126,7 +131,7 @@ class SketchCoordinator:
 
         Three destinations, all per-origin: the coordinator's own
         accumulated snapshot (:meth:`telemetry_by_origin`, merged with
-        :func:`repro.federate.merge_telemetry` so successive rounds sum
+        :func:`repro.obs.merge_telemetry` so successive rounds sum
         exactly), the live metrics registry
         (:meth:`MetricsRegistry.merge_snapshot`), and the live tracer —
         the site's span batch is grafted under the currently open
@@ -152,14 +157,7 @@ class SketchCoordinator:
         if _OBS.enabled:
             _METRICS.count("dist.telemetry.received")
             _METRICS.count("dist.telemetry.bytes.received", size)
-            _METRICS.merge_snapshot(
-                {
-                    "counters": doc["counters"],
-                    "gauges": doc["gauges"],
-                    "histograms": doc["histograms"],
-                },
-                prefix=origin,
-            )
+            _METRICS.merge_snapshot(doc, prefix=origin)
             _TRACER.import_spans(
                 doc["spans"], origin=origin, parent_id=_TRACER.current_span_id()
             )
@@ -259,7 +257,7 @@ class SketchCoordinator:
     def telemetry_by_origin(self) -> dict[str, dict]:
         """Accumulated telemetry snapshot per reporting origin.
 
-        Each value is the :func:`repro.federate.merge_telemetry` fold of
+        Each value is the :func:`repro.obs.merge_telemetry` fold of
         every snapshot that origin has shipped — counters are fleet-exact
         totals, spans are the bounded recent batches.
         """

@@ -15,11 +15,11 @@ moves bytes (the tests and example use in-memory delivery).
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..errors import ReproError
+from ..obs import telemetry_size_in_bytes
 from ..sketches.serialize import load_sketch, save_sketch
 
 
@@ -72,7 +72,7 @@ class SketchReport:
     and defaulted, so pre-federation senders and receivers interoperate
     unchanged): ``trace_context`` echoes the coordinator-minted
     :class:`TraceContext` wire dict, and ``telemetry`` carries one
-    ``repro.telemetry`` snapshot (:mod:`repro.federate`) — by convention
+    ``repro.telemetry`` document (:mod:`repro.obs.telemetry`) — by convention
     on the *first* report of a site's round, so per-round telemetry is
     shipped once, not once per stream.
     """
@@ -124,11 +124,7 @@ class SketchReport:
         """
         if self.telemetry is None:
             return 0
-        return len(
-            json.dumps(
-                self.telemetry, sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-        )
+        return telemetry_size_in_bytes(self.telemetry)
 
 
 @dataclass(frozen=True)

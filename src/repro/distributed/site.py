@@ -21,8 +21,8 @@ from dataclasses import replace
 
 from ..core.estimator import SkimmedSketchSchema
 from ..errors import ParameterError, QueryError
-from ..federate import TelemetryShipper, telemetry_size_in_bytes
-from ..obs import METRICS as _METRICS, OBS as _OBS
+from ..federate import TelemetryShipper
+from ..obs import METRICS as _METRICS, OBS as _OBS, telemetry_size_in_bytes
 from .protocol import SketchReport, TraceContext
 
 #: Supported reporting modes.

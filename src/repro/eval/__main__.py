@@ -17,7 +17,8 @@ Each experiment prints the same table its ``benchmarks/`` counterpart
 emits; ``--full-scale`` switches the workload sizes exactly like setting
 ``REPRO_FULL_SCALE=1``.  ``--metrics-out PATH`` enables the
 :mod:`repro.obs` instrumentation for the run and writes the metrics
-snapshot to ``PATH`` as JSON; ``--trace-out PATH`` enables the
+telemetry document to ``PATH`` (check it with ``python -m repro.obs
+validate``); ``--trace-out PATH`` enables the
 :mod:`repro.trace` span tracer and writes the trace as JSONL (convert it
 with ``python -m repro.trace convert``); ``--audit-out PATH`` enables the
 :mod:`repro.monitor` estimate-quality audits and writes every
@@ -41,7 +42,7 @@ import sys
 from typing import Callable
 
 from ..monitor import AUDIT
-from ..obs import METRICS, write_snapshot
+from ..obs import METRICS, write_telemetry
 from ..profile import (
     PROFILER,
     RECORDER,
@@ -240,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         default=None,
         help="enable repro.obs instrumentation and write the metrics "
-        "snapshot to PATH as JSON",
+        "telemetry document to PATH",
     )
     parser.add_argument(
         "--trace-out",
@@ -326,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(EXPERIMENTS[name](scale, args.trials))
             print(f"[{name} took {timer.elapsed:.1f}s]\n")
         if args.metrics_out:
-            write_snapshot(args.metrics_out, METRICS.snapshot())
+            write_telemetry(args.metrics_out, METRICS.snapshot())
             print(f"[metrics snapshot written to {args.metrics_out}]")
         if args.trace_out:
             write_trace_jsonl(args.trace_out, TRACER.snapshot())

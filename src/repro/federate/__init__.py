@@ -3,27 +3,28 @@
 The observability singletons (``repro.obs.METRICS``,
 ``repro.trace.TRACER``, ``repro.profile.RECORDER``,
 ``repro.monitor.AUDIT``) are process-local; the paper's deployment (§1)
-is many sites and one coordinator.  This package federates the two:
+is many sites and one coordinator.  This package federates the two on
+top of the telemetry document (:mod:`repro.obs.telemetry`, which owns
+the schema, JSON, merge algebra and Prometheus exposition):
 
-* :class:`TelemetryShipper` captures a site's singleton state into a
-  versioned, delta-encoded **telemetry snapshot**
-  (:func:`validate_telemetry` / :func:`telemetry_to_json` round-trip it);
-* :class:`~repro.distributed.SketchSite` piggybacks that snapshot on its
-  sketch reports (``telemetry=True``) together with the
-  coordinator-minted :class:`~repro.distributed.TraceContext`, and
-  :class:`~repro.distributed.SketchCoordinator` folds it back into its
+* :class:`TelemetryShipper` captures a site's singleton state into
+  successive delta documents;
+* :class:`~repro.distributed.SketchSite` piggybacks those on its sketch
+  reports (``telemetry=True``) together with the coordinator-minted
+  :class:`~repro.distributed.TraceContext`, and
+  :class:`~repro.distributed.SketchCoordinator` folds them back into its
   own registry (counters sum, gauges last-write-by-timestamp, histograms
   merge reservoirs) and tracer (span trees stitched under the receiving
   round span, per-origin Perfetto lanes);
-* :class:`FederatedSource` scrapes many such outputs — live monitor
+* :class:`FederatedSource` scrapes many documents — live monitor
   endpoints or files — into one origin-labelled Prometheus exposition
   and a fleet ``/topology`` summary for ``python -m repro.monitor serve
   --federate``.
 
-``python -m repro.federate`` hosts the CLI: ``selfcheck`` (merge
-algebra + wire round-trips), ``validate`` / ``merge`` for snapshot
-files, and ``run`` (a multi-site demo producing merged metrics, a
-stitched trace, and per-origin telemetry files).
+``python -m repro.federate`` hosts ``selfcheck`` (merge algebra + wire
+round-trips) and ``run`` (a multi-site demo producing merged metrics, a
+stitched trace, and per-origin telemetry files); ``python -m repro.obs
+validate|diff|merge`` works on the files.
 
 Everything importable here is standard-library only; the ``run``
 demo imports the sketch machinery (numpy) lazily.
@@ -32,37 +33,12 @@ demo imports the sketch machinery (numpy) lazily.
 from __future__ import annotations
 
 from .federation import TOPOLOGY_VERSION, FederatedSource, federation_from_args
-from .snapshot import (
-    DEFAULT_HISTOGRAM_SAMPLES,
-    DEFAULT_SPAN_BATCH,
-    TELEMETRY_KIND,
-    TELEMETRY_VERSION,
-    TelemetryShipper,
-    empty_telemetry,
-    merge_all_telemetry,
-    merge_telemetry,
-    telemetry_from_json,
-    telemetry_size_in_bytes,
-    telemetry_to_json,
-    telemetry_to_metrics,
-    validate_telemetry,
-)
+from .shipper import DEFAULT_SPAN_BATCH, TelemetryShipper
 
 __all__ = [
-    "DEFAULT_HISTOGRAM_SAMPLES",
     "DEFAULT_SPAN_BATCH",
     "FederatedSource",
-    "TELEMETRY_KIND",
-    "TELEMETRY_VERSION",
     "TOPOLOGY_VERSION",
     "TelemetryShipper",
-    "empty_telemetry",
     "federation_from_args",
-    "merge_all_telemetry",
-    "merge_telemetry",
-    "telemetry_from_json",
-    "telemetry_size_in_bytes",
-    "telemetry_to_json",
-    "telemetry_to_metrics",
-    "validate_telemetry",
 ]

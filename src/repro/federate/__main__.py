@@ -9,20 +9,16 @@ Subcommands::
         merge order-insensitivity, span-import nesting, per-origin
         Perfetto lanes.  Exit 0 when every check passes.
 
-    python -m repro.federate validate FILE...
-        Validate telemetry snapshot files against the wire schema.
-
-    python -m repro.federate merge FILE... [--out OUT]
-        Merge snapshot files into one (printed or written to OUT).
-
     python -m repro.federate run --sites N --rounds R --out-dir DIR
         Multi-site distributed demo (needs numpy): N telemetry-enabled
         sites ingest and report over R coordinator-minted rounds; writes
-        DIR/metrics.json (merged, per-origin prefixed), DIR/trace.chrome.json
-        (one stitched Perfetto timeline, one lane per site), and
-        DIR/telemetry.<origin>.json (per-origin accumulated snapshots).
+        DIR/metrics.json (the coordinator's registry, per-origin
+        prefixed), DIR/trace.chrome.json (one stitched Perfetto timeline,
+        one lane per site), and DIR/telemetry.<origin>.json (per-origin
+        accumulated documents).  Every JSON file is a telemetry document:
+        ``python -m repro.obs validate|diff|merge`` reads them.
         Process boundaries are emulated by resetting the global
-        singletons between per-site segments — the shipper's watermarks
+        singletons between per-site segments — the shipper's cursors
         detect the resets, exactly as fresh per-process singletons would
         behave.
 """
@@ -30,34 +26,25 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Any
 
 try:  # package layout
     from ..obs.registry import MetricsRegistry
+    from ..obs.telemetry import merge_telemetry, telemetry_from_json, telemetry_to_json
     from ..trace.export import trace_to_chrome
     from ..trace.tracer import SpanTracer
-    from .snapshot import (
-        TelemetryShipper,
-        merge_all_telemetry,
-        merge_telemetry,
-        telemetry_from_json,
-        telemetry_to_json,
-        validate_telemetry,
-    )
+    from .shipper import TelemetryShipper
 except ImportError:  # pragma: no cover - standalone layout
     from obs.registry import MetricsRegistry  # type: ignore
-    from trace.export import trace_to_chrome  # type: ignore
-    from trace.tracer import SpanTracer  # type: ignore
-    from federate.snapshot import (  # type: ignore
-        TelemetryShipper,
-        merge_all_telemetry,
+    from obs.telemetry import (  # type: ignore
         merge_telemetry,
         telemetry_from_json,
         telemetry_to_json,
-        validate_telemetry,
     )
+    from trace.export import trace_to_chrome  # type: ignore
+    from trace.tracer import SpanTracer  # type: ignore
+    from federate.shipper import TelemetryShipper  # type: ignore
 
 
 def _emulated_origin(name: str, seed: int) -> tuple[dict[str, Any], TelemetryShipper]:
@@ -160,43 +147,6 @@ def _cmd_selfcheck(_args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    status = 0
-    for path in args.files:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                validate_telemetry(json.load(fh))
-        except (OSError, ValueError) as exc:
-            print(f"FAIL - {path}: {exc}")
-            status = 1
-        else:
-            print(f"ok - {path}")
-    return status
-
-
-def _cmd_merge(args: argparse.Namespace) -> int:
-    docs = []
-    for path in args.files:
-        with open(path, encoding="utf-8") as fh:
-            docs.append(json.load(fh))
-    try:
-        merged = merge_all_telemetry(docs)
-    except ValueError as exc:
-        print(f"merge failed: {exc}", file=sys.stderr)
-        return 1
-    text = telemetry_to_json(merged)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(
-            f"merged {len(docs)} snapshots -> {args.out} "
-            f"(origin {merged['origin']!r})"
-        )
-    else:
-        print(text)
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     import os
 
@@ -205,7 +155,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .. import obs, trace
     from ..core.estimator import SkimmedSketchSchema
     from ..distributed import SketchCoordinator, SketchSite
-    from ..obs import METRICS, write_snapshot
+    from ..obs import METRICS, write_telemetry
     from ..trace import TRACER, write_trace_chrome
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -250,14 +200,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace.disable()
 
     metrics_path = os.path.join(args.out_dir, "metrics.json")
-    write_snapshot(metrics_path, METRICS.snapshot())
+    write_telemetry(metrics_path, METRICS.snapshot())
     chrome_path = os.path.join(args.out_dir, "trace.chrome.json")
     write_trace_chrome(chrome_path, TRACER.snapshot())
     telemetry_paths = {}
     for origin, doc in sorted(coordinator.telemetry_by_origin().items()):
         path = os.path.join(args.out_dir, f"telemetry.{origin}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(telemetry_to_json(doc) + "\n")
+        write_telemetry(path, doc)
         telemetry_paths[origin] = path
 
     reports, payload_bytes = coordinator.communication_stats()
@@ -292,13 +241,6 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("selfcheck", help="prove merge algebra and wire contracts")
 
-    p_validate = sub.add_parser("validate", help="validate telemetry files")
-    p_validate.add_argument("files", nargs="+", help="telemetry JSON files")
-
-    p_merge = sub.add_parser("merge", help="merge telemetry files into one")
-    p_merge.add_argument("files", nargs="+", help="telemetry JSON files")
-    p_merge.add_argument("--out", help="write merged snapshot here")
-
     p_run = sub.add_parser("run", help="multi-site federated demo (needs numpy)")
     p_run.add_argument("--sites", type=int, default=3)
     p_run.add_argument("--rounds", type=int, default=2)
@@ -309,8 +251,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler = {
         "selfcheck": _cmd_selfcheck,
-        "validate": _cmd_validate,
-        "merge": _cmd_merge,
         "run": _cmd_run,
     }[args.command]
     return handler(args)

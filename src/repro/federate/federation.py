@@ -1,17 +1,12 @@
 """Multi-origin federation: scrape many telemetry sources, expose one.
 
 A :class:`FederatedSource` owns a set of named origins, each backed by a
-loader (a JSON file on disk or an HTTP endpoint serving JSON).  Each
-origin may serve either wire format the repo emits:
-
-* a **telemetry snapshot** (``repro.telemetry``, :mod:`.snapshot`) —
-  what a site's shipper writes / piggybacks on sketch reports;
-* a **metrics snapshot** (version-1 ``repro.obs`` shape) — what
-  ``--metrics-out`` files and a plain monitor's ``/metrics.json`` hold.
-
-Both are normalised to the metrics-snapshot shape, then rendered into
-one Prometheus text exposition where every sample carries an
-``origin="..."`` label and each metric family is declared exactly once
+loader (a JSON file on disk or an HTTP endpoint serving JSON).  Every
+origin serves one telemetry document (:mod:`repro.obs.telemetry`) — a
+site shipper's file, a ``--metrics-out`` file, ``federate run``'s
+``metrics.json`` or a monitor's ``/snapshot``.  They render into one
+Prometheus text exposition through the document's own renderer, every
+sample labelled ``origin="..."`` and each metric family declared once
 even when several origins report it.  :meth:`FederatedSource.topology`
 summarises the fleet (per origin: reachability, staleness, rounds,
 report/telemetry bytes) for the monitor's ``/topology`` endpoint and the
@@ -22,23 +17,25 @@ Stdlib-only, like the rest of the observability plane.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import urllib.request
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 try:  # package layout
-    from ..obs.export import _prom_name, _prom_value
+    from ..obs.telemetry import (
+        escape_label,
+        prometheus_families,
+        render_families,
+        telemetry_from_json,
+        validate_telemetry,
+    )
 except ImportError:  # standalone layout: `obs` next to `federate`
-    from obs.export import _prom_name, _prom_value  # type: ignore
-
-try:
-    from .snapshot import TELEMETRY_KIND, telemetry_to_metrics, validate_telemetry
-except ImportError:  # pragma: no cover - standalone layout
-    from federate.snapshot import (  # type: ignore
-        TELEMETRY_KIND,
-        telemetry_to_metrics,
+    from obs.telemetry import (  # type: ignore
+        escape_label,
+        prometheus_families,
+        render_families,
+        telemetry_from_json,
         validate_telemetry,
     )
 
@@ -46,12 +43,8 @@ except ImportError:  # pragma: no cover - standalone layout
 TOPOLOGY_VERSION = 1
 
 
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
 class _FileLoader:
-    """Reads one JSON document from disk; age = file mtime."""
+    """Reads one telemetry document from disk; age = file mtime."""
 
     kind = "file"
 
@@ -60,7 +53,7 @@ class _FileLoader:
 
     def load(self) -> tuple[dict[str, Any], float | None]:
         with open(self.target, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = telemetry_from_json(fh.read())
         age = max(0.0, time.time() - os.path.getmtime(self.target))
         return doc, age
 
@@ -69,7 +62,7 @@ class _FileLoader:
 
 
 class _HttpLoader:
-    """Fetches one JSON document over HTTP(S); age unknown (live scrape)."""
+    """Fetches one telemetry document over HTTP(S); age 0 (live scrape)."""
 
     kind = "http"
 
@@ -79,7 +72,7 @@ class _HttpLoader:
 
     def load(self) -> tuple[dict[str, Any], float | None]:
         with urllib.request.urlopen(self.target, timeout=self.timeout) as resp:
-            doc = json.loads(resp.read().decode("utf-8"))
+            doc = telemetry_from_json(resp.read().decode("utf-8"))
         return doc, 0.0
 
     def __repr__(self) -> str:
@@ -118,7 +111,7 @@ class FederatedSource:
         return sorted(self._loaders)
 
     def _scrape(self, origin: str) -> dict[str, Any]:
-        """One origin's raw document plus scrape bookkeeping."""
+        """One origin's validated document plus scrape bookkeeping."""
         loader = self._loaders[origin]
         entry: dict[str, Any] = {
             "origin": origin,
@@ -134,118 +127,36 @@ class FederatedSource:
                 doc, age = loader()
             else:
                 doc, age = loader.load()
-            entry["doc"] = doc
+            entry["doc"] = validate_telemetry(doc)
             entry["age_seconds"] = age
             entry["ok"] = True
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         return entry
-
-    @staticmethod
-    def _normalise(doc: dict[str, Any]) -> tuple[dict[str, Any], dict[str, Any] | None]:
-        """(metrics snapshot, telemetry doc or None) for one raw document."""
-        if doc.get("kind") == TELEMETRY_KIND:
-            telemetry = validate_telemetry(doc)
-            return telemetry_to_metrics(telemetry), telemetry
-        if "counters" in doc and "gauges" in doc:
-            return doc, None
-        raise ValueError(
-            "document is neither a telemetry snapshot nor a metrics snapshot"
-        )
-
-    def metrics_by_origin(self) -> dict[str, dict[str, Any]]:
-        """Scrape every origin; metrics snapshot per *reachable* origin.
-
-        Unreachable or malformed origins are skipped here (they still
-        show up, flagged, in :meth:`topology`) — one dead site must not
-        take down the federated exposition.
-        """
-        out: dict[str, dict[str, Any]] = {}
-        for origin in self.origins:
-            entry = self._scrape(origin)
-            if not entry["ok"]:
-                continue
-            try:
-                metrics, _ = self._normalise(entry["doc"])
-            except ValueError:
-                continue
-            out[origin] = metrics
-        return out
 
     def prometheus(self, prefix: str = "repro") -> str:
         """One text exposition over all reachable origins.
 
         Every sample is labelled ``{origin="..."}``; each family gets a
         single ``# TYPE`` declaration even when several origins carry
-        it.  An extra ``<prefix>_federation_up`` gauge reports per-origin
-        scrape health (1 reachable, 0 not), so the exposition itself
-        records partial scrapes.
+        it, families sorted by name.  An extra ``<prefix>_federation_up``
+        gauge reports per-origin scrape health (1 reachable, 0 not), so
+        the exposition itself records partial scrapes — one dead or
+        malformed site must not take down the rest.
         """
-        families: dict[str, tuple[str, str]] = {}  # family -> (type, source name)
-        samples: dict[str, list[str]] = {}  # family -> rendered sample lines
-        up: dict[str, bool] = {}
-
-        def _declare(family: str, prom_type: str, source: str) -> None:
-            held = families.get(family)
-            if held is None:
-                families[family] = (prom_type, source)
-                samples[family] = []
-            elif held[0] != prom_type or held[1] != source:
-                raise ValueError(
-                    f"metric names {held[1]!r} and {source!r} both sanitise "
-                    f"to exposition family {family!r}"
-                )
-
-        for origin in self.origins:
-            entry = self._scrape(origin)
-            if not entry["ok"]:
-                up[origin] = False
-                continue
-            try:
-                metrics, _ = self._normalise(entry["doc"])
-            except ValueError:
-                up[origin] = False
-                continue
-            up[origin] = True
-            label = f'origin="{_escape_label(origin)}"'
-            for name, value in sorted(metrics.get("counters", {}).items()):
-                family = f"{prefix}_{_prom_name(name)}_total"
-                _declare(family, "counter", name)
-                samples[family].append(
-                    f"{family}{{{label}}} {_prom_value(float(value))}"
-                )
-            for name, value in sorted(metrics.get("gauges", {}).items()):
-                family = f"{prefix}_{_prom_name(name)}"
-                _declare(family, "gauge", name)
-                samples[family].append(
-                    f"{family}{{{label}}} {_prom_value(float(value))}"
-                )
-            for name, summary in sorted(metrics.get("histograms", {}).items()):
-                family = f"{prefix}_{_prom_name(name)}"
-                _declare(family, "summary", name)
-                for quantile, field in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
-                    samples[family].append(
-                        f'{family}{{{label},quantile="{quantile}"}} '
-                        f"{_prom_value(float(summary[field]))}"
-                    )
-                samples[family].append(
-                    f"{family}_sum{{{label}}} {_prom_value(float(summary['sum']))}"
-                )
-                samples[family].append(
-                    f"{family}_count{{{label}}} {int(float(summary['count']))}"
-                )
-        lines: list[str] = []
+        scrapes = [self._scrape(origin) for origin in self.origins]
         up_family = f"{prefix}_federation_up"
-        lines.append(f"# TYPE {up_family} gauge")
-        for origin in self.origins:
+        lines = [f"# TYPE {up_family} gauge"]
+        for entry in scrapes:
             lines.append(
-                f'{up_family}{{origin="{_escape_label(origin)}"}} '
-                f"{1 if up.get(origin) else 0}"
+                f'{up_family}{{origin="{escape_label(entry["origin"])}"}} '
+                f"{1 if entry['ok'] else 0}"
             )
-        for family in sorted(families):
-            prom_type, _ = families[family]
-            lines.append(f"# TYPE {family} {prom_type}")
-            lines.extend(samples[family])
+        families = prometheus_families(
+            [(entry["origin"], entry["doc"]) for entry in scrapes if entry["ok"]],
+            prefix,
+        )
+        lines.extend(render_families(sorted(families.items())))
         return "\n".join(lines) + "\n"
 
     def topology(self) -> dict[str, Any]:
@@ -255,7 +166,7 @@ class FederatedSource:
         age, and the distributed-protocol vitals derived from the
         origin's own ``dist.*`` metrics — rounds closed, reports and
         payload bytes sent/received, and the telemetry piggyback bytes
-        (the federation's own overhead, satellite #1's counters).
+        (the federation's own overhead).
         """
         origins: dict[str, dict[str, Any]] = {}
         for origin in self.origins:
@@ -272,22 +183,15 @@ class FederatedSource:
                 "telemetry_bytes": 0,
             }
             if entry["ok"]:
-                try:
-                    metrics, _ = self._normalise(entry["doc"])
-                except ValueError as exc:
-                    row["ok"] = False
-                    row["error"] = f"ValueError: {exc}"
-                    origins[origin] = row
-                    continue
-                counters = metrics.get("counters", {})
-                gauges = metrics.get("gauges", {})
+                counters = entry["doc"]["counters"]
+                gauges = entry["doc"]["gauges"]
 
                 def _take(*names: str) -> float:
                     return sum(float(counters.get(name, 0.0)) for name in names)
 
                 row["rounds"] = int(
                     _take("dist.rounds.closed", "dist.rounds.merged")
-                    or float(gauges.get("dist.round.max", 0.0))
+                    or float(gauges.get("dist.round.max", [0.0])[0])
                 )
                 row["reports"] = int(
                     _take("dist.reports.sent", "dist.reports.received")

@@ -28,6 +28,7 @@ from .audit import (
     QueryAudit,
     RESIDUAL_BOUND_FACTOR,
     audit_from_dict,
+    audit_gauges,
     confidence_halfwidth,
     per_table_tail_probability,
     read_audit_jsonl,
@@ -48,6 +49,7 @@ __all__ = [
     "RESIDUAL_BOUND_FACTOR",
     "ShadowAuditor",
     "audit_from_dict",
+    "audit_gauges",
     "confidence_halfwidth",
     "per_table_tail_probability",
     "read_audit_jsonl",

@@ -27,6 +27,11 @@ import json
 import sys
 import urllib.request
 
+try:  # package layout
+    from ..obs.telemetry import telemetry_from_json
+except ImportError:  # standalone layout: `obs` next to `monitor`
+    from obs.telemetry import telemetry_from_json  # type: ignore
+
 from .audit import audit_from_dict
 from .service import MonitorServer, file_source, parse_prometheus
 
@@ -48,7 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8000, help="TCP port (0 = ephemeral)"
     )
     serve.add_argument(
-        "--metrics", metavar="PATH", help="metrics snapshot JSON (--metrics-out file)"
+        "--metrics",
+        metavar="PATH",
+        help="metrics telemetry document (--metrics-out file)",
     )
     serve.add_argument(
         "--audits", metavar="PATH", help="audit JSONL (--audit-out file)"
@@ -69,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="ORIGIN=PATH_OR_URL",
         action="append",
         default=None,
-        help="federate a telemetry/metrics source under this origin "
+        help="federate a telemetry document source under this origin "
         "(repeatable); /metrics becomes an origin-labelled multi-source "
         "exposition and /topology reports the fleet",
     )
@@ -78,7 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "selfcheck",
         help="serve on an ephemeral port, scrape every endpoint, exit 0/1",
     )
-    selfcheck.add_argument("--metrics", metavar="PATH", help="metrics snapshot JSON")
+    selfcheck.add_argument(
+        "--metrics", metavar="PATH", help="metrics telemetry document"
+    )
     selfcheck.add_argument("--audits", metavar="PATH", help="audit JSONL")
     selfcheck.add_argument("--profile", metavar="PATH", help="profile JSONL")
     selfcheck.add_argument(
@@ -184,8 +193,10 @@ def _selfcheck(args: argparse.Namespace) -> int:
             )
 
         status, body = _get(f"{server.url}/snapshot")
-        if status != 200 or json.loads(body).get("version") != 1:
-            failures.append(f"/snapshot not a version-1 snapshot (status {status})")
+        try:
+            telemetry_from_json(body)
+        except ValueError as exc:
+            failures.append(f"/snapshot not a telemetry document ({status}): {exc}")
 
         status, body = _get(f"{server.url}/profile")
         if status != 200 or json.loads(body).get("kind") != "repro.profile":

@@ -30,7 +30,7 @@ import json
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterator, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
 #: Default bound on the in-memory audit ring.
 DEFAULT_MAX_AUDITS = 4096
@@ -423,6 +423,22 @@ class AuditLog:
             f"AuditLog(enabled={self.enabled}, audits={len(self._ring)}, "
             f"alerts={len(self.alerts)}, evicted={self.evicted})"
         )
+
+
+def audit_gauges(covered: Iterable[bool | None], alerts: int) -> dict[str, float]:
+    """The audit ring's two health signals, under one name each.
+
+    ``audit.alerts`` is the number of drift alerts held;
+    ``audit.coverage`` is the fraction of decided audits (``covered`` not
+    ``None``) whose CI held the shadow-exact answer, left out until one
+    is decided.  The shipper's documents, the flight recorder's frames
+    and the monitor's ``/metrics`` all publish them through here.
+    """
+    gauges = {"audit.alerts": float(alerts)}
+    decided = [bool(c) for c in covered if c is not None]
+    if decided:
+        gauges["audit.coverage"] = sum(decided) / len(decided)
+    return gauges
 
 
 def read_audit_jsonl(path: str) -> tuple[list[QueryAudit], list[dict[str, Any]]]:

@@ -23,7 +23,7 @@ the OS media query and an explicit ``data-theme`` override.
 from __future__ import annotations
 
 import html
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 #: Sparkline geometry (viewBox units; the SVG scales to its card).
 _SPARK_W = 280.0
@@ -181,66 +181,36 @@ def _sparkline(points: Sequence[tuple[float, float]], unit: str) -> str:
 
 
 def _frame_value(
-    frame: dict[str, Any],
-    counts_keys: Sequence[str],
-    gauge_keys: Sequence[str],
-    as_rate: bool,
+    frame: dict[str, Any], section: str, key: str, as_rate: bool
 ) -> float | None:
-    """First matching series value in a telemetry frame, or ``None``.
+    """One series value in a telemetry frame, or ``None`` when absent.
 
-    Counter keys win over gauge keys; ``as_rate`` divides the counter
-    delta by the window length.  Keys are alternatives (names the same
-    quantity has carried), not additive.
+    ``section`` is ``"counts"`` or ``"gauges"``; ``as_rate`` divides a
+    counter delta by the window length.
     """
-    counts = frame.get("counts", {})
-    for key in counts_keys:
-        if key in counts:
-            if not as_rate:
-                return float(counts[key])
-            dt = float(frame.get("t1", 0.0)) - float(frame.get("t0", 0.0))
-            return float(counts[key]) / dt if dt > 0 else None
-    gauges = frame.get("gauges", {})
-    for key in gauge_keys:
-        if key in gauges:
-            return float(gauges[key])
-    return None
+    value = frame.get(section, {}).get(key)
+    if value is None:
+        return None
+    if not as_rate:
+        return float(value)
+    dt = float(frame.get("t1", 0.0)) - float(frame.get("t0", 0.0))
+    return float(value) / dt if dt > 0 else None
 
 
-#: The three dashboard series: (title, unit, counter keys, gauge keys, rate?).
-_SERIES: list[tuple[str, str, tuple[str, ...], tuple[str, ...], bool]] = [
-    (
-        "Ingest throughput",
-        " el/s",
-        ("engine.elements.seen",),
-        (),
-        True,
-    ),
-    (
-        "Realized estimate error",
-        "",
-        (),
-        ("monitor.audit.realized_error", "audit.realized_error"),
-        False,
-    ),
-    (
-        "Audit CI coverage",
-        "",
-        (),
-        ("audit.coverage", "monitor.audit.ci_coverage", "monitor.shadow.coverage"),
-        False,
-    ),
+#: The three dashboard series: (title, unit, frame section, key, rate?).
+_SERIES: list[tuple[str, str, str, str, bool]] = [
+    ("Ingest throughput", " el/s", "counts", "engine.elements.seen", True),
+    ("Realized estimate error", "", "gauges", "monitor.audit.realized_error", False),
+    ("Audit CI coverage", "", "gauges", "audit.coverage", False),
 ]
 
 
 def _series_points(
-    frames: Sequence[dict[str, Any]],
-    counts_keys: Sequence[str],
-    gauge_keys: Sequence[str],
-    as_rate: bool,
+    frames: Sequence[dict[str, Any]], section: str, key: str, as_rate: bool
 ) -> list[tuple[float, float]]:
     points = []
     for frame in frames:
-        value = _frame_value(frame, counts_keys, gauge_keys, as_rate)
+        value = _frame_value(frame, section, key, as_rate)
         if value is not None:
             points.append((float(frame.get("t1", 0.0)), value))
     return points
@@ -340,8 +310,8 @@ def render_dashboard(source: Any, federation: Any = None) -> str:
 
     # Sparkline cards (one series each: the title is the legend).
     parts.append('<div class="row">')
-    for title, unit, counts_keys, gauge_keys, as_rate in _SERIES:
-        points = _series_points(frames, counts_keys, gauge_keys, as_rate)
+    for title, unit, section, key, as_rate in _SERIES:
+        points = _series_points(frames, section, key, as_rate)
         now = f"{_fmt(points[-1][1])}{unit}" if points else "&mdash;"
         parts.append(
             f'<div class="card"><h2>{html.escape(title)}</h2>'
@@ -394,8 +364,8 @@ def render_dashboard(source: Any, federation: Any = None) -> str:
         for frame in recent:
             t0, t1 = float(frame.get("t0", 0.0)), float(frame.get("t1", 0.0))
             cells = []
-            for _, _, counts_keys, gauge_keys, as_rate in _SERIES:
-                value = _frame_value(frame, counts_keys, gauge_keys, as_rate)
+            for _, _, section, key, as_rate in _SERIES:
+                value = _frame_value(frame, section, key, as_rate)
                 cells.append("-" if value is None else _fmt(value))
             parts.append(
                 f"<tr><td>{t0:.1f}&ndash;{t1:.1f}s</td><td>{t1 - t0:.1f}</td>"

@@ -3,15 +3,15 @@
 ``python -m repro.monitor serve`` turns a (running or finished) audited
 experiment into something scrapeable like a production service:
 
-* ``/metrics`` — Prometheus text exposition of the metrics snapshot via
-  the existing ``repro.obs`` exporter, with monitor-level gauges
+* ``/metrics`` — Prometheus text exposition of the metrics document via
+  the telemetry document's renderer, with monitor-level gauges
   (``monitor.audits.recorded``, ``monitor.audits.retained``,
-  ``monitor.drift.alerts``, ``monitor.audit.last_realized_error``, …)
-  merged in;
+  ``audit.alerts``, ``audit.coverage``,
+  ``monitor.audit.last_realized_error``, …) merged in;
 * ``/health`` — liveness JSON (status, audit/alert counts);
 * ``/audits`` — the most recent :class:`QueryAudit` records as JSON
   (``?n=`` limits the count; any other query parameter is a 400);
-* ``/snapshot`` — the raw metrics snapshot JSON, for ``repro.obs diff``;
+* ``/snapshot`` — the metrics telemetry document, for ``repro.obs diff``;
 * ``/profile`` — the ``repro.profile`` sample snapshot JSON;
 * ``/timeseries`` — the flight-recorder telemetry snapshot JSON;
 * ``/dashboard`` — a self-contained HTML page (inline SVG sparklines
@@ -29,7 +29,7 @@ serves the **live** process registries (``repro.obs.METRICS`` /
 ``--profile-out`` / ``--timeseries-out`` — the latter is what ``make
 monitor-smoke`` scrapes.
 
-Imports are stdlib plus ``repro.obs.export`` (itself stdlib-only); the
+Imports are stdlib plus ``repro.obs.telemetry`` (itself stdlib-only); the
 ``except ImportError`` fallback lets the module load when ``repro``'s
 numpy-importing package root is unavailable (tests run it with bare
 ``obs`` / ``monitor`` on ``sys.path`` to enforce the no-numpy contract).
@@ -39,24 +39,30 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 from urllib.parse import parse_qs, urlparse
 
 try:  # pragma: no cover - exercised via the standalone import test
-    from ..obs.export import snapshot_to_prometheus, validate_snapshot
+    from ..obs.telemetry import (
+        empty_telemetry,
+        read_telemetry,
+        snapshot_to_prometheus,
+        telemetry_to_json,
+    )
 except ImportError:  # standalone import: `obs` next to `monitor` on sys.path
-    from obs.export import snapshot_to_prometheus, validate_snapshot  # type: ignore
+    from obs.telemetry import (  # type: ignore
+        empty_telemetry,
+        read_telemetry,
+        snapshot_to_prometheus,
+        telemetry_to_json,
+    )
 
-from .audit import AuditLog, read_audit_jsonl
+from .audit import AuditLog, audit_gauges, read_audit_jsonl
 
-#: Empty version-1 metrics snapshot (served when no metrics source exists).
-EMPTY_SNAPSHOT: dict[str, Any] = {
-    "version": 1,
-    "counters": {},
-    "gauges": {},
-    "histograms": {},
-}
+#: Empty metrics document (served when no metrics source exists).
+EMPTY_SNAPSHOT: dict[str, Any] = empty_telemetry("local")
 
 #: Empty version-1 profile snapshot (served when no profile source exists).
 EMPTY_PROFILE: dict[str, Any] = {
@@ -81,7 +87,7 @@ EMPTY_TIMESERIES: dict[str, Any] = {
 class MonitorSource:
     """What the HTTP handlers read: four snapshot thunks.
 
-    ``metrics_snapshot`` returns a version-1 metrics snapshot dict;
+    ``metrics_snapshot`` returns a telemetry document;
     ``audit_snapshot`` an :meth:`AuditLog.snapshot` dict;
     ``profile_snapshot`` / ``timeseries_snapshot`` the ``repro.profile``
     sampler/recorder snapshots (both optional — they default to empty
@@ -137,8 +143,7 @@ def file_source(
     than mid-scrape; raises ``ValueError`` / ``OSError`` on bad input.
     """
     if metrics_path is not None:
-        with open(metrics_path, encoding="utf-8") as fh:
-            snapshot = validate_snapshot(json.load(fh))
+        snapshot = read_telemetry(metrics_path)
     else:
         snapshot = dict(EMPTY_SNAPSHOT)
     log = AuditLog(enabled=True)
@@ -218,24 +223,30 @@ def _stable_source(source: MonitorSource) -> MonitorSource:
 
 
 def merged_metrics_snapshot(source: MonitorSource) -> dict[str, Any]:
-    """Metrics snapshot with monitor-level gauges merged in.
+    """Metrics document with monitor-level gauges merged in.
 
     The audit ring is summarised as gauges so one ``/metrics`` scrape
-    carries both the engine metrics and the estimate-quality state.
+    carries both the engine metrics and the estimate-quality state;
+    ``audit.alerts`` and ``audit.coverage`` come from
+    :func:`~repro.monitor.audit.audit_gauges`, the same function the
+    shipper and the flight recorder read.
     """
     snapshot = source.metrics_snapshot()
     audits = source.audit_snapshot()
-    merged = {
-        "version": snapshot.get("version", 1),
-        "counters": dict(snapshot.get("counters", {})),
-        "gauges": dict(snapshot.get("gauges", {})),
-        "histograms": dict(snapshot.get("histograms", {})),
-    }
+    merged = dict(snapshot, gauges=dict(snapshot["gauges"]))
+    now = time.time()
+
+    def put(name: str, value: float) -> None:
+        merged["gauges"][name] = [float(value), now]
+
     records = audits.get("audits", [])
-    merged["gauges"]["monitor.audits.recorded"] = float(audits.get("recorded", 0))
-    merged["gauges"]["monitor.audits.retained"] = float(len(records))
-    merged["gauges"]["monitor.audits.evicted"] = float(audits.get("evicted", 0))
-    merged["gauges"]["monitor.drift.alerts"] = float(len(audits.get("alerts", [])))
+    signals = audit_gauges(
+        (r.get("covered") for r in records), len(audits.get("alerts", []))
+    )
+    put("monitor.audits.recorded", audits.get("recorded", 0))
+    put("monitor.audits.retained", len(records))
+    put("monitor.audits.evicted", audits.get("evicted", 0))
+    put("audit.alerts", signals["audit.alerts"])
     if records:
         last = records[-1]
         for field, metric in (
@@ -245,16 +256,13 @@ def merged_metrics_snapshot(source: MonitorSource) -> dict[str, Any]:
         ):
             value = last.get(field)
             if isinstance(value, (int, float)):
-                merged["gauges"][metric] = float(value)
-        bound_ok = [r.get("residual_bound_ok") for r in records]
-        merged["gauges"]["monitor.audit.residual_bound_ok_fraction"] = sum(
-            1.0 for b in bound_ok if b
-        ) / len(records)
-        covered = [r.get("covered") for r in records if r.get("covered") is not None]
-        if covered:
-            merged["gauges"]["monitor.audit.ci_coverage"] = sum(
-                1.0 for c in covered if c
-            ) / len(covered)
+                put(metric, value)
+        bound_ok = sum(1.0 for r in records if r.get("residual_bound_ok"))
+        put("monitor.audit.residual_bound_ok_fraction", bound_ok / len(records))
+    # Last: the exposition lists gauges in insertion order, and
+    # tests/test_telemetry.py pins that order.
+    if "audit.coverage" in signals:
+        put("audit.coverage", signals["audit.coverage"])
     return merged
 
 
@@ -345,7 +353,9 @@ class _MonitorHandler(BaseHTTPRequestHandler):
                 self._reply(200, json.dumps(audits), "application/json")
             elif url.path == "/snapshot":
                 self._reply(
-                    200, json.dumps(source.metrics_snapshot()), "application/json"
+                    200,
+                    telemetry_to_json(source.metrics_snapshot()),
+                    "application/json",
                 )
             elif url.path == "/profile":
                 self._reply(

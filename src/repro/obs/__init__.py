@@ -12,11 +12,11 @@ disabled instrumentation is free for all practical purposes (see
 
 Typical use::
 
-    from repro.obs import METRICS, snapshot_to_json
+    from repro.obs import METRICS, telemetry_to_json
 
     METRICS.enable()
     ...  # run sketches / engine / coordinator
-    print(snapshot_to_json(METRICS.snapshot()))
+    print(telemetry_to_json(METRICS.snapshot()))
 
 or scoped::
 
@@ -28,8 +28,10 @@ or scoped::
 
 This package imports **only the standard library** (no numpy) so it can
 ride along in the thinnest collection agent; the test suite enforces
-that.  The metric catalogue the library emits is documented in
-``docs/OBSERVABILITY.md``.
+that.  Every capture is a telemetry document (:mod:`repro.obs.telemetry`
+— schema, JSON, merge, Prometheus exposition, diff); ``python -m
+repro.obs validate|diff|merge`` works on those files.  The metric
+catalogue the library emits is documented in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -37,18 +39,29 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-from .export import (
-    SNAPSHOT_VERSION,
-    diff_snapshots,
-    render_diff,
-    snapshot_from_json,
-    snapshot_to_json,
-    snapshot_to_prometheus,
-    validate_snapshot,
-    write_snapshot,
-)
 from .registry import Counter, Gauge, Histogram, MetricsRegistry, Timer
 from .switch import OBS, Sink, Switch
+from .telemetry import (
+    DEFAULT_HISTOGRAM_SAMPLES,
+    TELEMETRY_KIND,
+    TELEMETRY_VERSION,
+    RegistryCursor,
+    capture_metrics,
+    capture_scalars,
+    diff_snapshots,
+    empty_telemetry,
+    merge_all_telemetry,
+    merge_telemetry,
+    quantile,
+    read_telemetry,
+    render_diff,
+    snapshot_to_prometheus,
+    telemetry_from_json,
+    telemetry_size_in_bytes,
+    telemetry_to_json,
+    validate_telemetry,
+    write_telemetry,
+)
 
 #: The process-wide registry every built-in instrumentation hook records to.
 METRICS = MetricsRegistry(enabled=False)
@@ -71,7 +84,7 @@ def is_enabled() -> bool:
 
 
 def snapshot() -> dict:
-    """JSON-ready dump of the global registry."""
+    """Cumulative telemetry document of the global registry."""
     return METRICS.snapshot()
 
 
@@ -100,26 +113,37 @@ def capturing(fresh: bool = True) -> Iterator[MetricsRegistry]:
 
 __all__ = [
     "Counter",
+    "DEFAULT_HISTOGRAM_SAMPLES",
     "Gauge",
     "Histogram",
     "METRICS",
     "MetricsRegistry",
     "OBS",
-    "SNAPSHOT_VERSION",
+    "RegistryCursor",
     "Sink",
     "Switch",
+    "TELEMETRY_KIND",
+    "TELEMETRY_VERSION",
     "Timer",
+    "capture_metrics",
+    "capture_scalars",
     "capturing",
-    "disable",
     "diff_snapshots",
+    "disable",
+    "empty_telemetry",
     "enable",
     "is_enabled",
+    "merge_all_telemetry",
+    "merge_telemetry",
+    "quantile",
+    "read_telemetry",
     "render_diff",
     "reset",
     "snapshot",
-    "snapshot_from_json",
-    "snapshot_to_json",
     "snapshot_to_prometheus",
-    "validate_snapshot",
-    "write_snapshot",
+    "telemetry_from_json",
+    "telemetry_size_in_bytes",
+    "telemetry_to_json",
+    "validate_telemetry",
+    "write_telemetry",
 ]

@@ -1,103 +1,108 @@
-"""Validate or diff metrics snapshot files.
+"""Validate, diff or merge telemetry documents.
 
-Validate (what ``make metrics-smoke`` runs after a ``--metrics-out``
-benchmark)::
+Every metrics file the repo writes is one telemetry document (a
+``--metrics-out`` file, ``federate run``'s ``metrics.json`` and
+``telemetry.<origin>.json``, the monitor's ``/snapshot``)::
 
-    python -m repro.obs snapshot.json [required-metric ...]
-
-Exits non-zero if the file is not a valid version-1 snapshot or if any of
-the listed metric names is absent (counters, gauges and histograms are
-all searched).
-
-Diff two snapshots (counters subtracted, gauges before/after, histogram
-activity deltas plus side-by-side distributions)::
+    python -m repro.obs validate FILE [required-metric ...]
+        Exit non-zero if FILE is not a valid document or if any listed
+        metric name is absent (counters, gauges and histograms are all
+        searched).  What ``make metrics-smoke`` runs.
 
     python -m repro.obs diff before.json after.json [--json]
+        Counters subtracted, gauges before/after, histogram activity
+        deltas plus side-by-side distributions.
+
+    python -m repro.obs merge FILE... [--out OUT]
+        Merge documents into one (printed, or written to OUT).
+
+Exit codes: 0 ok, 1 invalid input, 2 usage.
 """
 
 from __future__ import annotations
 
-import json
+import argparse
 import sys
 
-from .export import diff_snapshots, render_diff, snapshot_to_json, validate_snapshot
-
-_USAGE = (
-    "usage: python -m repro.obs snapshot.json [required-metric ...]\n"
-    "       python -m repro.obs diff before.json after.json [--json]"
+from .telemetry import (
+    diff_snapshots,
+    merge_all_telemetry,
+    read_telemetry,
+    render_diff,
+    telemetry_to_json,
+    write_telemetry,
 )
 
 
-def _load(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return validate_snapshot(json.load(fh))
-
-
-def _diff_main(argv: list[str]) -> int:
-    as_json = "--json" in argv
-    paths = [a for a in argv if a != "--json"]
-    if len(paths) != 2:
-        print(_USAGE, file=sys.stderr)
-        return 2
-    # Compare the raw schema versions first: two files that disagree on
-    # the schema must fail loudly as a *mismatch*, not be half-compared
-    # or blamed on whichever file happens to be the unsupported one.
+def _read(path: str) -> dict:
     try:
-        raws = []
-        for path in paths:
-            with open(path, encoding="utf-8") as fh:
-                raws.append(json.load(fh))
-    except (OSError, ValueError) as exc:
-        print(f"invalid snapshot: {exc}", file=sys.stderr)
-        return 1
-    versions = [r.get("version") if isinstance(r, dict) else None for r in raws]
-    if versions[0] != versions[1]:
-        print(
-            f"snapshot schema-version mismatch: {paths[0]} has version "
-            f"{versions[0]!r} but {paths[1]} has version {versions[1]!r}; "
-            "refusing to diff",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        old, new = validate_snapshot(raws[0]), validate_snapshot(raws[1])
+        return read_telemetry(path)
     except ValueError as exc:
-        print(f"invalid snapshot: {exc}", file=sys.stderr)
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _validate(args: argparse.Namespace) -> int:
+    doc = _read(args.file)
+    names = set(doc["counters"]) | set(doc["gauges"]) | set(doc["histograms"])
+    missing = [metric for metric in args.required if metric not in names]
+    if missing:
+        print(f"{args.file}: missing required metrics {missing}", file=sys.stderr)
         return 1
-    diff = diff_snapshots(old, new)
-    if as_json:
-        print(snapshot_to_json(diff))
+    print(f"ok: {args.file} ({len(names)} metrics)")
+    return 0
+
+
+def _diff(args: argparse.Namespace) -> int:
+    diff = diff_snapshots(_read(args.before), _read(args.after))
+    if args.json:
+        print(telemetry_to_json(diff))
     else:
-        print(f"diff: {paths[0]} -> {paths[1]}")
+        print(f"diff: {args.before} -> {args.after}")
         print(render_diff(diff))
+    return 0
+
+
+def _merge(args: argparse.Namespace) -> int:
+    merged = merge_all_telemetry(_read(path) for path in args.files)
+    if args.out:
+        write_telemetry(args.out, merged)
+        print(
+            f"merged {len(args.files)} documents -> {args.out} "
+            f"(origin {merged['origin']!r})"
+        )
+    else:
+        print(telemetry_to_json(merged))
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
-    argv = sys.argv[1:] if argv is None else argv
-    if not argv:
-        print(_USAGE, file=sys.stderr)
-        return 2
-    if argv[0] == "diff":
-        return _diff_main(argv[1:])
-    path, required = argv[0], argv[1:]
-    try:
-        snapshot = _load(path)
-    except (OSError, ValueError) as exc:
-        print(f"invalid snapshot {path}: {exc}", file=sys.stderr)
-        return 1
-    names = (
-        set(snapshot["counters"])
-        | set(snapshot["gauges"])
-        | set(snapshot["histograms"])
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.obs", description="Telemetry document tools."
     )
-    missing = [metric for metric in required if metric not in names]
-    if missing:
-        print(f"{path}: missing required metrics {missing}", file=sys.stderr)
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_validate = sub.add_parser("validate", help="validate one document")
+    p_validate.add_argument("file")
+    p_validate.add_argument(
+        "required", nargs="*", help="metric names that must be present"
+    )
+    p_diff = sub.add_parser("diff", help="diff two documents")
+    p_diff.add_argument("before")
+    p_diff.add_argument("after")
+    p_diff.add_argument("--json", action="store_true", help="print the diff as JSON")
+    p_merge = sub.add_parser("merge", help="merge documents into one")
+    p_merge.add_argument("files", nargs="+")
+    p_merge.add_argument("--out", help="write the merged document here")
+    try:
+        args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    except SystemExit as exc:  # usage errors exit 2, --help exits 0
+        return int(exc.code or 0)
+    handler = {"validate": _validate, "diff": _diff, "merge": _merge}[args.command]
+    try:
+        return handler(args)
+    except (OSError, ValueError) as exc:
+        print(f"invalid telemetry: {exc}", file=sys.stderr)
         return 1
-    print(f"ok: {path} ({len(names)} metrics)")
-    return 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ Design constraints (enforced by the test suite):
 * histograms keep a bounded deterministic reservoir, so memory is O(1)
   per metric regardless of stream length and snapshots are reproducible
   for a fixed recording sequence;
-* ``snapshot()`` returns plain dicts of plain floats — JSON-ready.
+* ``snapshot()`` returns a cumulative telemetry document
+  (:mod:`repro.obs.telemetry`) — plain dicts, JSON-ready.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import time
 from typing import Any, Callable, Iterator, Mapping
 
 from .switch import Sink
+from .telemetry import capture_metrics, empty_telemetry, thin_samples
 
 #: Reservoir size for histogram percentile estimation.
 DEFAULT_RESERVOIR_SIZE = 2048
@@ -121,29 +123,17 @@ class Histogram:
             if slot < self._cap:
                 self._samples[slot] = value
 
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over the reservoir (``nan`` when empty)."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if not self._samples:
-            return float("nan")
-        ordered = sorted(self._samples)
-        rank = max(0, min(len(ordered) - 1, round(p / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
-
     def state(self, max_samples: int | None = None) -> dict[str, Any]:
         """Reservoir-carrying dump for cross-process merging.
 
-        Unlike :meth:`summary` (quantiles only, not mergeable) the state
-        keeps raw reservoir samples, so two histograms built in different
-        processes can be folded together with :meth:`merge_state`.
+        The state keeps raw reservoir samples, so two histograms built in
+        different processes can be folded together with
+        :meth:`merge_state`; quantiles are read off the samples with
+        :func:`repro.obs.telemetry.quantile`.
         ``max_samples`` bounds the shipped reservoir with an even stride
         across the sorted samples, preserving the spread.
         """
-        samples = sorted(self._samples)
-        if max_samples is not None and len(samples) > max_samples:
-            step = len(samples) / max_samples
-            samples = [samples[int(i * step)] for i in range(max_samples)]
+        samples = thin_samples(sorted(self._samples), max_samples)
         return {
             "count": self.count,
             "sum": self.sum,
@@ -178,30 +168,6 @@ class Histogram:
                 slot = self._next_rand() % self.count
                 if slot < self._cap:
                     self._samples[slot] = value
-
-    def summary(self) -> dict[str, float]:
-        """JSON-ready summary: count/sum/min/max/mean and p50/p95/p99."""
-        if self.count == 0:
-            return {
-                "count": 0,
-                "sum": 0.0,
-                "min": 0.0,
-                "max": 0.0,
-                "mean": 0.0,
-                "p50": 0.0,
-                "p95": 0.0,
-                "p99": 0.0,
-            }
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.sum / self.count,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-        }
 
 
 class Timer:
@@ -352,58 +318,46 @@ class MetricsRegistry(Sink):
         )
 
     def snapshot(self) -> dict:
-        """JSON-ready dump of every metric (readable even while disabled)."""
-        return {
-            "version": 1,
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-            "histograms": {
-                n: h.summary() for n, h in sorted(self._histograms.items())
-            },
-        }
+        """Cumulative telemetry document of every metric, with the full
+        histogram reservoirs (readable even while disabled)."""
+        return capture_metrics(self, empty_telemetry("local"))
 
     def merge_snapshot(
         self, snapshot: Mapping[str, Any], prefix: str | None = None
     ) -> None:
-        """Fold a foreign process's metric state into this registry.
+        """Fold a foreign process's telemetry document into this registry.
 
-        The inverse operation of shipping a telemetry snapshot
-        (:mod:`repro.federate`): **counters sum** (the foreign values are
-        deltas, so repeated merges of successive snapshots accumulate
+        The inverse operation of shipping a document
+        (:mod:`repro.obs.telemetry`): **counters sum** (the foreign values
+        are deltas, so repeated merges of successive documents accumulate
         exactly), **gauges take the last write by wall-clock timestamp**
-        (foreign gauges may arrive as ``[value, ts]`` pairs; a plain
-        number merges with timestamp 0, i.e. it never overrides a local
-        write), and **histograms merge reservoirs** via
-        :meth:`Histogram.merge_state`.
+        (each arrives as a ``[value, ts]`` pair), and **histograms merge
+        reservoirs** via :meth:`Histogram.merge_state`.
 
         Like every recording method it is a no-op while the registry is
         disabled, so a coordinator whose registry is off does not fill
-        it with foreign metrics.  ``prefix`` is
-        prepended (dot-joined) to every merged metric name, which is how
-        per-shard worker telemetry lands under ``parallel.shard.N.*``.
+        it with foreign metrics.  ``prefix`` is prepended (dot-joined)
+        to every merged metric name, which is how a site's telemetry
+        lands under ``site.<name>.*`` at the coordinator.
         """
         if not self._enabled:
             return
         qualify = (lambda n: f"{prefix}.{n}") if prefix else (lambda n: n)
-        for name, value in snapshot.get("counters", {}).items():
+        for name, value in snapshot["counters"].items():
             self.counter(qualify(name)).inc(float(value))
-        for name, value in snapshot.get("gauges", {}).items():
-            if isinstance(value, (list, tuple)):
-                level, ts = float(value[0]), float(value[1])
-            else:
-                level, ts = float(value), 0.0
+        for name, (level, ts) in snapshot["gauges"].items():
             found = self.gauge(qualify(name))
             if ts >= found.ts:
                 found.set(level, ts=ts)
-        for name, state in snapshot.get("histograms", {}).items():
-            if isinstance(state, Mapping) and "samples" in state:
-                self.histogram(qualify(name)).merge_state(state)
+        for name, state in snapshot["histograms"].items():
+            self.histogram(qualify(name)).merge_state(state)
 
     def reset(self) -> None:
         """Drop every metric (the enabled flag is left as-is).
 
-        Bumps ``generation`` so delta-tracking readers (the federation
-        shipper's watermarks) can tell a reset from mere inactivity.
+        Bumps ``generation`` so delta-tracking readers (every
+        :class:`~repro.obs.telemetry.RegistryCursor`) can tell a reset
+        from mere inactivity.
         """
         self._counters.clear()
         self._gauges.clear()

@@ -9,9 +9,10 @@ off-by-default contract:
   span and the hot paths' coarse activity marker.  Exporters:
   collapsed stacks (flamegraph input), speedscope JSON, samples JSONL,
   and a ``top``-style aggregate report.
-* :data:`RECORDER` (:class:`FlightRecorder`) — periodic windows diffing
-  ``repro.obs`` counter totals (plus the audit ring's coverage/alert
-  state) into a :class:`TelemetryRing` with Hokusai-style aging: old
+* :data:`RECORDER` (:class:`FlightRecorder`) — periodic windows of
+  ``repro.obs`` counter deltas, captured through the federation
+  shipper's capture path (plus the audit ring's coverage/alert gauges)
+  into a :class:`TelemetryRing` with Hokusai-style aging: old
   windows merge to coarser resolution so the ring holds hours of
   telemetry in a configured byte budget.  Its frames come only from
   the registry, so :func:`enable` turns ``repro.obs.METRICS`` on too.

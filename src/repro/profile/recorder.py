@@ -3,10 +3,14 @@
 A metrics snapshot is a point-in-time total; it cannot show *how*
 throughput, shipped bytes, estimate coverage, or drift evolved over a
 stream's lifetime.  The :class:`FlightRecorder` closes that gap: a
-periodic ``tick()`` (manual or from a daemon thread) diffs the
-``repro.obs`` counter totals since the previous tick, reads the
-``repro.monitor`` audit ring's coverage/alert state, and folds it all
-into one :class:`TelemetryFrame` — a timestamped window of deltas.
+periodic ``tick()`` (manual or from a daemon thread) captures the
+``repro.obs`` counter deltas since the previous tick through the same
+capture path as the telemetry shipper
+(:func:`repro.obs.telemetry.capture_scalars`, the counter/gauge half
+of its capture, with a :class:`~repro.obs.telemetry.RegistryCursor`),
+adds the ``repro.monitor``
+audit ring's coverage/alert gauges, and folds it all into one
+:class:`TelemetryFrame` — a timestamped window of deltas.
 Frames are windows over the registry, so a recorder needs ``METRICS``
 on to see any counts; the profiling entry points turn it on.
 
@@ -35,14 +39,22 @@ from typing import Any
 try:  # pragma: no cover - exercised via the standalone import test
     from ..obs import METRICS as _METRICS
     from ..obs.switch import Sink
+    from ..obs.telemetry import RegistryCursor, capture_scalars, empty_telemetry
 except ImportError:  # standalone layout: `obs` next to `profile` on sys.path
     from obs import METRICS as _METRICS  # type: ignore
     from obs.switch import Sink  # type: ignore
+    from obs.telemetry import (  # type: ignore
+        RegistryCursor,
+        capture_scalars,
+        empty_telemetry,
+    )
 
 try:  # pragma: no cover - exercised via the standalone import test
     from ..monitor import AUDIT as _AUDIT
+    from ..monitor.audit import audit_gauges
 except ImportError:
     from monitor import AUDIT as _AUDIT  # type: ignore
+    from monitor.audit import audit_gauges  # type: ignore
 
 #: Timeseries schema version emitted by :meth:`FlightRecorder.snapshot`.
 TIMESERIES_VERSION = 1
@@ -58,23 +70,6 @@ DEFAULT_TIERS = 4
 
 #: Default byte budget for the ring (JSON-encoded frame sizes).
 DEFAULT_MAX_BYTES = 512 * 1024
-
-
-def _read_racy(read, fallback):
-    """Best-effort read of an unsynchronised registry from the tick thread.
-
-    The metrics registry and audit ring are deliberately lock-free on
-    their hot paths, so iterating them while a hot path inserts a brand
-    new metric can raise ``RuntimeError`` (size changed during
-    iteration).  Ticks are periodic — retry a couple of times, then
-    settle for ``fallback`` and let the next tick pick the delta up.
-    """
-    for _ in range(3):
-        try:
-            return read()
-        except RuntimeError:
-            continue
-    return fallback
 
 
 class TelemetryFrame:
@@ -297,7 +292,7 @@ class FlightRecorder(Sink):
         RECORDER.stop()
         snapshot = RECORDER.snapshot()
 
-    ``tick()`` diffs the ``repro.obs`` counter totals and reads the
+    ``tick()`` captures the ``repro.obs`` counter deltas and reads the
     audit ring, then pushes the assembled frame into the aging ring;
     hot paths never call the recorder itself.
     """
@@ -305,7 +300,7 @@ class FlightRecorder(Sink):
     __slots__ = (
         "interval",
         "ring",
-        "_last_counters",
+        "_cursor",
         "_last_tick",
         "_thread",
         "_stop_event",
@@ -327,7 +322,7 @@ class FlightRecorder(Sink):
         self.ring = TelemetryRing(
             tier_capacity=tier_capacity, tiers=tiers, max_bytes=max_bytes
         )
-        self._last_counters: dict[str, float] = {}
+        self._cursor = RegistryCursor()
         self._last_tick = 0.0
         self._thread: threading.Thread | None = None
         self._stop_event = threading.Event()
@@ -336,7 +331,7 @@ class FlightRecorder(Sink):
     def reset(self) -> None:
         """Drop every frame, restart the epoch (flag kept)."""
         self.ring.clear()
-        self._last_counters.clear()
+        self._cursor = RegistryCursor()
         self._epoch = time.perf_counter()
         self._last_tick = 0.0
 
@@ -346,33 +341,20 @@ class FlightRecorder(Sink):
         """Close the current window into one frame (``None`` while disabled).
 
         The frame's ``counts`` are the deltas of every ``repro.obs``
-        counter since the previous tick; ``gauges`` take the registry's
-        current gauge values plus the audit ring's coverage rate and
-        cumulative alert count.
+        counter since the previous tick (a registry ``reset()`` in
+        between restarts them, never a negative delta); ``gauges`` take
+        the registry's current gauge values plus the audit ring's
+        ``audit.coverage`` and ``audit.alerts``.
         """
         if not self.enabled:
             return None
         now = time.perf_counter() - self._epoch
-        counts: dict[str, float] = {}
-        metric_counters = _read_racy(
-            lambda: {n: c.value for n, c in _METRICS._counters.items()},
-            self._last_counters,
+        doc = capture_scalars(_METRICS, empty_telemetry("recorder"), self._cursor)
+        gauges = {name: pair[0] for name, pair in doc["gauges"].items()}
+        gauges.update(
+            audit_gauges((a.covered for a in _AUDIT.audits()), len(_AUDIT.alerts))
         )
-        for name, total in metric_counters.items():
-            delta = total - self._last_counters.get(name, 0.0)
-            if delta:
-                counts[name] = delta
-        self._last_counters = metric_counters
-
-        gauges = _read_racy(
-            lambda: {n: g.value for n, g in _METRICS._gauges.items()}, {}
-        )
-        audits = _read_racy(_AUDIT.audits, [])
-        decided = [a.covered for a in audits if a.covered is not None]
-        if decided:
-            gauges["audit.coverage"] = sum(decided) / len(decided)
-        gauges["audit.alerts"] = float(len(_AUDIT.alerts))
-
+        counts = doc["counters"]
         frame = TelemetryFrame(self._last_tick, max(now, self._last_tick), counts, gauges)
         self._last_tick = frame.t1
         self.ring.push(frame)

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.eval.__main__ import EXPERIMENTS, main
-from repro.obs import METRICS, validate_snapshot
+from repro.obs import METRICS, read_telemetry
 
 
 class TestCLI:
@@ -49,7 +49,7 @@ class TestMetricsOut:
         assert main(["smoke", "--metrics-out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert f"metrics snapshot written to {out}" in stdout
-        snap = validate_snapshot(json.loads(out.read_text()))
+        snap = read_telemetry(str(out))
         # The smoke workload must exercise update, skim and estimate paths.
         assert snap["counters"]["sketch.update.elements"] > 0
         assert snap["counters"]["skim.passes"] > 0
@@ -62,7 +62,7 @@ class TestMetricsOut:
         out = tmp_path / "m.json"
         assert main(["example1", "--metrics-out", str(out)]) == 0
         assert not METRICS.enabled
-        validate_snapshot(json.loads(out.read_text()))
+        read_telemetry(str(out))
 
     def test_snapshot_validator_cli(self, tmp_path, capsys):
         from repro.obs.__main__ import main as obs_main
@@ -70,12 +70,16 @@ class TestMetricsOut:
         out = tmp_path / "m.json"
         assert main(["smoke", "--metrics-out", str(out)]) == 0
         capsys.readouterr()
-        assert obs_main([str(out), "sketch.update.elements", "skim.passes"]) == 0
-        assert obs_main([str(out), "no.such.metric"]) == 1
+        assert (
+            obs_main(["validate", str(out), "sketch.update.elements", "skim.passes"])
+            == 0
+        )
+        assert obs_main(["validate", str(out), "no.such.metric"]) == 1
         assert obs_main([]) == 2
+        assert obs_main([str(out)]) == 2  # the subcommand is required
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
-        assert obs_main([str(bad)]) == 1
+        assert obs_main(["validate", str(bad)]) == 1
 
     def test_without_metrics_out_nothing_is_recorded(self, capsys):
         assert main(["example1"]) == 0
@@ -84,13 +88,13 @@ class TestMetricsOut:
 
 class TestObsDiffCLI:
     def _write_snapshot(self, path, queries: int) -> None:
-        from repro.obs import MetricsRegistry, write_snapshot
+        from repro.obs import MetricsRegistry, write_telemetry
 
         reg = MetricsRegistry(enabled=True)
         reg.count("engine.queries", queries)
         reg.gauge("skim.threshold", 5.0)
         reg.observe("engine.answer.seconds", 0.01 * queries)
-        write_snapshot(str(path), reg.snapshot())
+        write_telemetry(str(path), reg.snapshot())
 
     def test_diff_reports_deltas(self, tmp_path, capsys):
         from repro.obs.__main__ import main as obs_main

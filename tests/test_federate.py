@@ -1,6 +1,7 @@
 """Tests for ``repro.federate`` — the cross-process telemetry plane.
 
-Covers: the wire schema (validate / JSON round-trip), the shipper's
+Covers: the telemetry document (``repro.obs.telemetry``: validate / JSON
+round-trip, the one ``repro.obs`` CLI), the shipper's
 delta capture and reset detection, the merge algebra (hypothesis
 property tests on integer counters), registry / tracer import
 operations, per-origin Perfetto lanes, the multi-source federation
@@ -27,23 +28,25 @@ from repro.distributed import (
     TraceContext,
 )
 from repro.federate import (
-    TELEMETRY_KIND,
-    TELEMETRY_VERSION,
     FederatedSource,
     TelemetryShipper,
-    empty_telemetry,
     federation_from_args,
+)
+from repro.federate.__main__ import main as federate_main
+from repro.monitor.service import MonitorServer, parse_prometheus
+from repro.obs import (
+    METRICS,
+    TELEMETRY_KIND,
+    TELEMETRY_VERSION,
+    empty_telemetry,
     merge_all_telemetry,
     merge_telemetry,
     telemetry_from_json,
     telemetry_size_in_bytes,
     telemetry_to_json,
-    telemetry_to_metrics,
     validate_telemetry,
 )
-from repro.federate.__main__ import main as federate_main
-from repro.monitor.service import MonitorServer, parse_prometheus
-from repro.obs import METRICS
+from repro.obs.__main__ import main as obs_main
 from repro.obs.registry import MetricsRegistry
 from repro.trace import TRACER
 from repro.trace.export import trace_origins, trace_to_chrome
@@ -116,19 +119,6 @@ class TestWireSchema:
         with pytest.raises(ValueError):
             validate_telemetry(doc)
 
-    def test_to_metrics_summarises_histograms(self):
-        registry, tracer = fresh_pair()
-        for i in range(10):
-            registry.observe("lat", float(i))
-        shipper = TelemetryShipper(
-            "o", registry=registry, tracer=tracer, audit=None
-        )
-        metrics = telemetry_to_metrics(shipper.capture_telemetry())
-        summary = metrics["histograms"]["lat"]
-        assert summary["count"] == 10
-        assert summary["min"] == 0.0
-        assert summary["max"] == 9.0
-        assert summary["mean"] == pytest.approx(4.5)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +242,7 @@ class TestMergeAlgebra:
         docs = {o: snapshot_for(o, counters) for o in order}
         registry = MetricsRegistry(enabled=True)
         for origin in order:
-            registry.merge_snapshot(
-                telemetry_to_metrics(docs[origin]), prefix=origin
-            )
+            registry.merge_snapshot(docs[origin], prefix=origin)
         expected = {
             f"{o}.{name}": float(v)
             for o in order
@@ -448,9 +436,10 @@ class TestCLI:
             path = tmp_path / f"{origin}.json"
             path.write_text(telemetry_to_json(doc))
             paths.append(str(path))
-        assert federate_main(["validate", *paths]) == 0
+        for path in paths:
+            assert obs_main(["validate", path]) == 0
         out_path = tmp_path / "merged.json"
-        assert federate_main(["merge", *paths, "--out", str(out_path)]) == 0
+        assert obs_main(["merge", *paths, "--out", str(out_path)]) == 0
         merged = validate_telemetry(json.loads(out_path.read_text()))
         assert merged["counters"]["updates"] == 30.0
         assert merged["origin"] == "site.a+site.b"
@@ -458,7 +447,10 @@ class TestCLI:
     def test_validate_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"not": "telemetry"}')
-        assert federate_main(["validate", str(bad)]) == 1
+        assert obs_main(["validate", str(bad)]) == 1
+        assert obs_main(["merge", str(bad)]) == 1
+        with pytest.raises(SystemExit):  # one CLI: repro.obs validate|merge
+            federate_main(["validate", str(bad)])
 
 
 # ---------------------------------------------------------------------------

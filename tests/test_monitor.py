@@ -37,7 +37,7 @@ from repro.monitor.service import (
     merged_metrics_snapshot,
     parse_prometheus,
 )
-from repro.obs import METRICS, MetricsRegistry, write_snapshot
+from repro.obs import METRICS, MetricsRegistry, telemetry_from_json, write_telemetry
 
 
 def _make_audit(**overrides) -> QueryAudit:
@@ -510,24 +510,24 @@ def _get(url: str) -> tuple[int, str]:
 class TestMergedSnapshot:
     def test_monitor_gauges_injected(self):
         merged = merged_metrics_snapshot(_populated_source(n_audits=3))
-        gauges = merged["gauges"]
+        gauges = {name: pair[0] for name, pair in merged["gauges"].items()}
         assert gauges["monitor.audits.recorded"] == 3.0
         assert gauges["monitor.audits.retained"] == 3.0
         assert gauges["monitor.audits.evicted"] == 0.0
-        assert gauges["monitor.drift.alerts"] == 1.0
+        assert gauges["audit.alerts"] == 1.0
         assert gauges["monitor.audit.last_estimate"] == 1002.0
         assert gauges["monitor.audit.last_ci_halfwidth"] == 250.0
         assert gauges["monitor.audit.last_realized_error"] == 20.0
         assert gauges["monitor.audit.residual_bound_ok_fraction"] == 1.0
-        assert gauges["monitor.audit.ci_coverage"] == pytest.approx(2.0 / 3.0)
+        assert gauges["audit.coverage"] == pytest.approx(2.0 / 3.0)
         # The underlying metrics ride along untouched.
         assert merged["counters"]["engine.queries"] == 3.0
 
     def test_empty_source_still_renders(self):
         source = MonitorSource(lambda: dict(EMPTY_SNAPSHOT), AuditLog().snapshot)
         merged = merged_metrics_snapshot(source)
-        assert merged["gauges"]["monitor.audits.recorded"] == 0.0
-        assert "monitor.audit.ci_coverage" not in merged["gauges"]
+        assert merged["gauges"]["monitor.audits.recorded"][0] == 0.0
+        assert "audit.coverage" not in merged["gauges"]
 
 
 class TestParsePrometheus:
@@ -575,7 +575,7 @@ class TestMonitorServer:
             assert status == 400
 
             status, body = _get(f"{server.url}/snapshot")
-            assert status == 200 and json.loads(body)["version"] == 1
+            assert status == 200 and telemetry_from_json(body)["version"] == 2
 
             status, _ = _get(f"{server.url}/nope")
             assert status == 404
@@ -603,7 +603,7 @@ class TestFileSourceAndCLI:
         reg = MetricsRegistry(enabled=True)
         reg.count("engine.queries", 2)
         metrics = tmp_path / "metrics.json"
-        write_snapshot(str(metrics), reg.snapshot())
+        write_telemetry(str(metrics), reg.snapshot())
         log = AuditLog(enabled=True)
         log.record(_make_audit())
         log.record(_make_audit(estimate=5.0, covered=True))

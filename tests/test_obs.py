@@ -19,15 +19,20 @@ from repro.obs import (
     MetricsRegistry,
     capturing,
     diff_snapshots,
+    quantile,
+    read_telemetry,
     render_diff,
-    snapshot_from_json,
-    snapshot_to_json,
     snapshot_to_prometheus,
-    validate_snapshot,
-    write_snapshot,
+    telemetry_from_json,
+    telemetry_to_json,
+    validate_telemetry,
+    write_telemetry,
 )
 from repro.obs.registry import Counter, Gauge, Histogram
 
+
+#: An empty telemetry document (what every malformed case mutates).
+_ENVELOPE = repro.obs.empty_telemetry("local")
 
 bounded_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -64,26 +69,18 @@ class TestHistogram:
         h = Histogram("h")
         for v in values:
             h.record(v)
-        s = h.summary()
+        s = h.state()
         assert s["count"] == len(values)
         assert s["sum"] == pytest.approx(math.fsum(values), abs=1e-5)
         assert s["min"] == min(values)
         assert s["max"] == max(values)
-        assert s["mean"] == pytest.approx(math.fsum(values) / len(values), abs=1e-5)
-        assert s["min"] <= s["p50"] <= s["p95"] <= s["p99"] <= s["max"]
+        p50, p95, p99 = (quantile(s["samples"], q) for q in (0.5, 0.95, 0.99))
+        assert s["min"] <= p50 <= p95 <= p99 <= s["max"]
 
     def test_empty_summary_is_all_zero(self):
-        s = Histogram("h").summary()
-        assert s == {
-            "count": 0,
-            "sum": 0.0,
-            "min": 0.0,
-            "max": 0.0,
-            "mean": 0.0,
-            "p50": 0.0,
-            "p95": 0.0,
-            "p99": 0.0,
-        }
+        s = Histogram("h").state()
+        assert s == {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "samples": []}
+        assert [quantile(s["samples"], q) for q in (0.5, 0.95, 0.99)] == [0.0] * 3
 
     def test_reservoir_is_bounded(self):
         h = Histogram("h", reservoir_size=16)
@@ -99,19 +96,22 @@ class TestHistogram:
         for v in values:
             a.record(v)
             b.record(v)
-        assert a.summary() == b.summary()
+        assert a.state() == b.state()
 
     def test_percentile_validates_range(self):
         with pytest.raises(ValueError):
-            Histogram("h").percentile(101)
+            quantile([1.0], 1.01)
+        with pytest.raises(ValueError):
+            quantile([1.0], -0.01)
 
     def test_exact_percentiles_on_small_sample(self):
         h = Histogram("h")
         for v in (1.0, 2.0, 3.0):
             h.record(v)
-        assert h.percentile(0) == 1.0
-        assert h.percentile(50) == 2.0
-        assert h.percentile(100) == 3.0
+        samples = h.state()["samples"]
+        assert quantile(samples, 0.0) == 1.0
+        assert quantile(samples, 0.5) == 2.0
+        assert quantile(samples, 1.0) == 3.0
 
 
 class TestRegistry:
@@ -122,7 +122,7 @@ class TestRegistry:
         reg.observe("c", 1.0)
         snap = reg.snapshot()
         assert snap["counters"] == {}
-        assert snap["gauges"].get("b", 0.0) == 0.0
+        assert snap["gauges"].get("b", [0.0, 0.0])[0] == 0.0
         assert snap["histograms"].get("c", {"count": 0})["count"] == 0
 
     def test_enable_disable_toggle(self):
@@ -180,7 +180,8 @@ class TestRegistry:
         assert set(snap["counters"]) == set(counters)
         for name, total in counters.items():
             assert snap["counters"][name] == pytest.approx(total, abs=1e-6)
-        assert snap["gauges"] == {n: pytest.approx(v) for n, v in gauges.items()}
+        levels = {n: pair[0] for n, pair in snap["gauges"].items()}
+        assert levels == {n: pytest.approx(v) for n, v in gauges.items()}
         for name, values in observations.items():
             assert snap["histograms"][name]["count"] == len(values)
 
@@ -263,7 +264,7 @@ class TestExporters:
 
     def test_json_round_trip(self):
         snap = self._populated().snapshot()
-        assert snapshot_from_json(snapshot_to_json(snap)) == snap
+        assert telemetry_from_json(telemetry_to_json(snap)) == snap
 
     @given(
         st.lists(
@@ -281,19 +282,19 @@ class TestExporters:
         for kind, name, value in ops:
             getattr(reg, kind)(name, value)
         snap = reg.snapshot()
-        assert snapshot_from_json(snapshot_to_json(snap)) == snap
+        assert telemetry_from_json(telemetry_to_json(snap)) == snap
 
     def test_json_round_trip_with_nonfinite_gauge(self):
         reg = MetricsRegistry(enabled=True)
         reg.gauge("skim.threshold", float("inf"))
         snap = reg.snapshot()
-        restored = snapshot_from_json(snapshot_to_json(snap))
-        assert restored["gauges"]["skim.threshold"] == float("inf")
+        restored = telemetry_from_json(telemetry_to_json(snap))
+        assert restored["gauges"]["skim.threshold"][0] == float("inf")
 
     def test_write_snapshot_is_valid_json_file(self, tmp_path):
         path = tmp_path / "m.json"
-        write_snapshot(str(path), self._populated().snapshot())
-        assert snapshot_from_json(path.read_text())["counters"]["skim.passes"] == 2.0
+        write_telemetry(str(path), self._populated().snapshot())
+        assert read_telemetry(str(path))["counters"]["skim.passes"] == 2.0
 
     def test_prometheus_rendering(self):
         text = snapshot_to_prometheus(self._populated().snapshot())
@@ -314,27 +315,25 @@ class TestExporters:
         [
             42,
             {},
-            {"version": 99, "counters": {}, "gauges": {}, "histograms": {}},
-            {"version": 1, "counters": [], "gauges": {}, "histograms": {}},
-            {"version": 1, "counters": {"a": "x"}, "gauges": {}, "histograms": {}},
-            {"version": 1, "counters": {}, "gauges": {}, "histograms": {"h": {}}},
-            {
-                "version": 1,
-                "counters": {},
-                "gauges": {},
-                "histograms": {"h": {f: -1.5 for f in
-                               ("count", "sum", "min", "max", "mean",
-                                "p50", "p95", "p99")}},
-            },
+            # A version-1 metrics snapshot is no longer a telemetry document.
+            {"version": 1, "counters": {}, "gauges": {}, "histograms": {}},
+            dict(_ENVELOPE, counters=[]),
+            dict(_ENVELOPE, counters={"a": "x"}),
+            dict(_ENVELOPE, histograms={"h": {}}),
+            dict(
+                _ENVELOPE,
+                histograms={"h": {f: -1.5 for f in
+                                  ("count", "sum", "min", "max", "samples")}},
+            ),
         ],
     )
     def test_validate_rejects_malformed_snapshots(self, bad):
         with pytest.raises(ValueError):
-            validate_snapshot(bad)
+            validate_telemetry(bad)
 
     def test_validate_accepts_registry_snapshots(self):
         snap = self._populated().snapshot()
-        assert validate_snapshot(snap) is snap
+        assert validate_telemetry(snap) is snap
 
 
 #: ``name value`` or ``name{label="x",...} value`` — the sample-line shape
@@ -473,10 +472,10 @@ class TestDiffCLISchemaVersion:
     """``repro.obs diff`` must refuse to compare mismatched schemas."""
 
     def _write_raw(self, path, version) -> None:
-        snap = {"version": version, "counters": {}, "gauges": {}, "histograms": {}}
-        path.write_text(json.dumps(snap))
+        path.write_text(json.dumps(dict(_ENVELOPE, version=version)))
 
     def test_version_mismatch_exits_nonzero(self, tmp_path, capsys):
+        """A version-1 file is refused by name, whichever side it is on."""
         from repro.obs.__main__ import main as obs_main
 
         before, after = tmp_path / "v1.json", tmp_path / "v2.json"
@@ -484,26 +483,29 @@ class TestDiffCLISchemaVersion:
         self._write_raw(after, 2)
         assert obs_main(["diff", str(before), str(after)]) == 1
         err = capsys.readouterr().err
-        assert "schema-version mismatch" in err
-        assert "version 1" in err and "version 2" in err
+        assert "unsupported telemetry version 1" in err and str(before) in err
+        assert obs_main(["diff", str(after), str(before)]) == 1
+        assert "unsupported telemetry version 1" in capsys.readouterr().err
 
     def test_mismatch_detected_before_validation(self, tmp_path, capsys):
-        """Both files unsupported but *different* is still a mismatch, not
-        a generic validation failure blamed on one file."""
+        """An unknown version is refused naming the file and the version,
+        not half-compared."""
         from repro.obs.__main__ import main as obs_main
 
         before, after = tmp_path / "v2.json", tmp_path / "v3.json"
         self._write_raw(before, 2)
         self._write_raw(after, 3)
         assert obs_main(["diff", str(before), str(after)]) == 1
-        assert "schema-version mismatch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unsupported telemetry version 3" in err and str(after) in err
+        assert obs_main(["validate", str(after)]) == 1
 
     def test_matching_versions_still_diff(self, tmp_path, capsys):
         from repro.obs.__main__ import main as obs_main
 
         before, after = tmp_path / "a.json", tmp_path / "b.json"
-        self._write_raw(before, 1)
-        self._write_raw(after, 1)
+        self._write_raw(before, 2)
+        self._write_raw(after, 2)
         assert obs_main(["diff", str(before), str(after)]) == 0
 
 

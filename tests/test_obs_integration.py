@@ -57,7 +57,7 @@ class TestEngineMetrics:
         assert snap["histograms"]["engine.answer.seconds"]["count"] == 1
         assert snap["histograms"]["estimate.skim_join.seconds"]["count"] == 1
         assert snap["histograms"]["skim.seconds"]["count"] == 2
-        assert snap["gauges"]["skim.threshold"] > 0
+        assert snap["gauges"]["skim.threshold"][0] > 0
 
     def test_per_element_path_counts_deletions(self):
         engine = _engine()
@@ -133,7 +133,7 @@ class TestDistributedMetrics:
         assert reports == 6
         assert snap["counters"]["dist.bytes.received"] == received
         assert snap["counters"]["dist.bytes.sent"] == received
-        assert snap["gauges"]["dist.round.max"] == 1
+        assert snap["gauges"]["dist.round.max"][0] == 1
         # The global join query runs the skimmed estimator.
         assert snap["counters"]["estimate.joins"] >= 1
 
@@ -169,10 +169,10 @@ class TestDiagnosticsBridge:
         with capturing() as reg:
             report.record()
         snap = reg.snapshot()
-        assert snap["gauges"]["health.stream_size"] == 2_000
-        assert snap["gauges"]["health.width"] == 64
-        assert snap["gauges"]["health.skew_score"] == report.skew_score
-        assert 0.0 <= snap["gauges"]["health.dense_mass_fraction"] <= 1.0
+        assert snap["gauges"]["health.stream_size"][0] == 2_000
+        assert snap["gauges"]["health.width"][0] == 64
+        assert snap["gauges"]["health.skew_score"][0] == report.skew_score
+        assert 0.0 <= snap["gauges"]["health.dense_mass_fraction"][0] <= 1.0
 
     def test_as_metrics_keys_are_prefixed(self, rng):
         schema = SkimmedSketchSchema(64, 5, DOMAIN, seed=5)

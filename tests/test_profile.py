@@ -324,7 +324,7 @@ class TestEventsCountOnce:
         assert frame.counts["estimate.joins"] == self.K
 
     def test_shipped_counters_equal_registry_deltas(self, rng):
-        from repro.federate import TelemetryShipper, telemetry_to_metrics
+        from repro.federate import TelemetryShipper
         from repro.profile import RECORDER
 
         METRICS.enable()
@@ -339,7 +339,7 @@ class TestEventsCountOnce:
             for name, value in after.items()
             if value != before.get(name, 0.0)
         }
-        shipped = telemetry_to_metrics(shipper.capture_telemetry())["counters"]
+        shipped = shipper.capture_telemetry()["counters"]
         assert shipped == deltas
         assert shipped["estimate.joins"] == self.K
 
