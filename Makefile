@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke perfbench-smoke experiments examples metrics-smoke monitor-smoke parallel-smoke scaling-gate profile-smoke workloads-smoke federate-smoke lint check clean
+.PHONY: install test bench bench-smoke perfbench-smoke experiments examples obs-smoke parallel-smoke scaling-gate workloads-smoke lint check clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -26,7 +26,7 @@ lint:
 	fi
 
 # Umbrella gate: everything CI runs.
-check: lint test metrics-smoke monitor-smoke parallel-smoke scaling-gate profile-smoke workloads-smoke federate-smoke perfbench-smoke
+check: lint test obs-smoke parallel-smoke scaling-gate workloads-smoke perfbench-smoke
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -65,27 +65,52 @@ examples:
 		echo "== $$script =="; $(PYTHON) $$script || exit 1; \
 	done
 
-# Run one instrumented benchmark and validate the emitted telemetry
-# document (schema + required metric names); see docs/OBSERVABILITY.md.
-metrics-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.eval smoke --metrics-out .metrics-smoke.json
-	PYTHONPATH=src $(PYTHON) -m repro.obs validate .metrics-smoke.json \
+# The observability plane end to end through its one CLI
+# (`python -m repro.obs`; see docs/OBSERVABILITY.md): one instrumented,
+# audited, traced, profiled and recorded smoke run; every artifact
+# validated (the telemetry document with its required metric names);
+# the trace and the profile converted and summarised; a 3-site fleet run
+# with every written document validated; then the monitor scraped over
+# the smoke artifacts and, federated, over the fleet.  The artifacts stay
+# in .obs-smoke/ for inspection (CI uploads them; `make clean` drops them).
+OBS_SMOKE = .obs-smoke
+obs-smoke:
+	rm -rf $(OBS_SMOKE) && mkdir -p $(OBS_SMOKE)
+	PYTHONPATH=src $(PYTHON) -m repro.eval smoke \
+		--metrics-out $(OBS_SMOKE)/metrics.json \
+		--audit-out $(OBS_SMOKE)/audits.jsonl \
+		--trace-out $(OBS_SMOKE)/trace.jsonl \
+		--profile-out $(OBS_SMOKE)/profile.jsonl \
+		--timeseries-out $(OBS_SMOKE)/timeseries.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro.obs validate $(OBS_SMOKE)/metrics.json \
 		sketch.update.elements skim.passes estimate.joins \
 		skim.seconds eval.experiment.seconds
-	rm -f .metrics-smoke.json
-
-# Run the audited smoke workload, then serve the resulting audit JSONL +
-# metrics snapshot over HTTP and scrape every endpoint (Prometheus
-# exposition must parse, at least one audit must round-trip); see the
-# "Estimate-quality monitoring" section of docs/OBSERVABILITY.md.
-monitor-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.eval smoke \
-		--metrics-out .monitor-smoke.metrics.json \
-		--audit-out .monitor-smoke.audits.jsonl
-	PYTHONPATH=src $(PYTHON) -m repro.monitor selfcheck \
-		--metrics .monitor-smoke.metrics.json \
-		--audits .monitor-smoke.audits.jsonl --min-audits 1
-	rm -f .monitor-smoke.metrics.json .monitor-smoke.audits.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro.obs validate $(OBS_SMOKE)/timeseries.jsonl \
+		engine.elements.seen estimate.joins
+	for doc in audits.jsonl trace.jsonl profile.jsonl; do \
+		PYTHONPATH=src $(PYTHON) -m repro.obs validate $(OBS_SMOKE)/$$doc || exit 1; \
+	done
+	PYTHONPATH=src $(PYTHON) -m repro.obs convert $(OBS_SMOKE)/trace.jsonl \
+		$(OBS_SMOKE)/trace.chrome.json
+	PYTHONPATH=src $(PYTHON) -m repro.obs convert $(OBS_SMOKE)/profile.jsonl \
+		$(OBS_SMOKE)/profile.collapsed
+	PYTHONPATH=src $(PYTHON) -m repro.obs summary $(OBS_SMOKE)/trace.jsonl --limit 10
+	PYTHONPATH=src $(PYTHON) -m repro.obs summary $(OBS_SMOKE)/profile.jsonl --limit 10
+	PYTHONPATH=src $(PYTHON) -m repro.obs fleet --sites 3 --rounds 2 \
+		--updates 500 --out-dir $(OBS_SMOKE)/fleet
+	for doc in $(OBS_SMOKE)/fleet/metrics.json $(OBS_SMOKE)/fleet/telemetry.*.json; do \
+		PYTHONPATH=src $(PYTHON) -m repro.obs validate $$doc || exit 1; \
+	done
+	PYTHONPATH=src $(PYTHON) -m repro.obs selfcheck \
+		--metrics $(OBS_SMOKE)/metrics.json --audits $(OBS_SMOKE)/audits.jsonl \
+		--profile $(OBS_SMOKE)/profile.jsonl \
+		--timeseries $(OBS_SMOKE)/timeseries.jsonl --min-audits 1
+	PYTHONPATH=src $(PYTHON) -m repro.obs selfcheck \
+		--metrics $(OBS_SMOKE)/fleet/metrics.json --min-audits 0 \
+		--federate coordinator=$(OBS_SMOKE)/fleet/metrics.json \
+		--federate site.edge-0=$(OBS_SMOKE)/fleet/telemetry.site.edge-0.json \
+		--federate site.edge-1=$(OBS_SMOKE)/fleet/telemetry.site.edge-1.json \
+		--federate site.edge-2=$(OBS_SMOKE)/fleet/telemetry.site.edge-2.json
 
 # Prove serial-vs-sharded exactness on a seeded stream for every ingest
 # mode (counters bit-identical, query answers equal); exit 1 on any
@@ -108,26 +133,6 @@ scaling-gate:
 	PYTHONPATH=src $(PYTHON) -m repro.parallel scaling-gate \
 		--bench-json benchmarks/results/BENCH_pr10.json
 
-# Continuous-profiling selfcheck: run a sampled+recorded workload, prove
-# span attribution, exporter round trips (collapsed/speedscope/JSONL),
-# the telemetry ring's byte bound + aging conservation, and the live
-# /profile, /timeseries and /dashboard endpoints; then record a profiled
-# smoke run's artifacts.  See the "Continuous profiling & flight
-# recorder" section of docs/OBSERVABILITY.md.
-profile-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.profile selfcheck --seconds 20
-	PYTHONPATH=src $(PYTHON) -m repro.profile record \
-		--out .profile-smoke.prof.jsonl \
-		--timeseries-out .profile-smoke.ts.jsonl \
-		--seconds 3 --hz 97 --interval 0.5
-	PYTHONPATH=src $(PYTHON) -m repro.profile top .profile-smoke.prof.jsonl \
-		--limit 10
-	PYTHONPATH=src $(PYTHON) -m repro.profile convert \
-		.profile-smoke.prof.jsonl .profile-smoke.collapsed \
-		--format collapsed
-	rm -f .profile-smoke.prof.jsonl .profile-smoke.ts.jsonl \
-		.profile-smoke.collapsed
-
 # Adversarial-workload accuracy gate: prove corpus determinism and
 # serial==sharded audit equality, then run the audited smoke corpus and
 # gate realized error / CI coverage / residual verdicts / drift alerts
@@ -142,28 +147,6 @@ workloads-smoke:
 		benchmarks/baselines/ACCURACY_baseline.json .workloads-smoke.json
 	rm -f .workloads-smoke.json
 
-# Federated-telemetry gate: prove the merge algebra + wire contracts
-# (selfcheck), run a 3-site distributed round trip with telemetry-enabled
-# sites (merged per-origin metrics, one stitched Perfetto trace, per-origin
-# accumulated documents), validate every written document, then scrape
-# everything through a federated monitor (origin-labelled /metrics +
-# /topology health).  See the "Federated telemetry" section of
-# docs/OBSERVABILITY.md.
-federate-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.federate selfcheck
-	PYTHONPATH=src $(PYTHON) -m repro.federate run --sites 3 --rounds 2 \
-		--updates 500 --out-dir .federate-smoke
-	for doc in .federate-smoke/metrics.json .federate-smoke/telemetry.*.json; do \
-		PYTHONPATH=src $(PYTHON) -m repro.obs validate $$doc || exit 1; \
-	done
-	PYTHONPATH=src $(PYTHON) -m repro.monitor selfcheck \
-		--metrics .federate-smoke/metrics.json --min-audits 0 \
-		--federate coordinator=.federate-smoke/metrics.json \
-		--federate site.edge-0=.federate-smoke/telemetry.site.edge-0.json \
-		--federate site.edge-1=.federate-smoke/telemetry.site.edge-1.json \
-		--federate site.edge-2=.federate-smoke/telemetry.site.edge-2.json
-	rm -rf .federate-smoke
-
 clean:
-	rm -rf src/repro.egg-info .pytest_cache .hypothesis .benchmarks .federate-smoke
+	rm -rf src/repro.egg-info .pytest_cache .hypothesis .benchmarks .obs-smoke
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -32,90 +32,84 @@ Package map (details in DESIGN.md):
 * :mod:`repro.eval` — the paper's evaluation methodology and experiments.
 """
 
-from .errors import (
-    DeletionUnsupportedError,
-    DomainError,
-    IncompatibleSketchError,
-    QueryError,
-    ReproError,
-)
-from .core import (
-    JoinEstimateBreakdown,
-    SketchParameters,
-    SkimResult,
-    SkimmedSketch,
-    SkimmedSketchSchema,
-    est_skim_join_size,
-    est_sub_join_size,
-    skim_dense,
-    skim_dense_dyadic,
-)
-from .sketches import (
-    AGMSSchema,
-    AGMSSketch,
-    DyadicHashSketch,
-    DyadicSketchSchema,
-    HashSketch,
-    HashSketchSchema,
-    StreamSynopsis,
-    TopKSketch,
-)
-from .hashing import BulkHashCache
-from .parallel import ParallelStreamEngine, ShardedIngestor
-from .streams import (
-    FrequencyVector,
-    StreamEngine,
-    Update,
-)
-from .sketches.serialize import (
-    SerializationError,
-    load_sketch,
-    merge_sketch_state,
-    save_sketch,
-    sketch_from_spec,
-    sketch_from_state,
-    sketch_spec,
-    sketch_state,
-)
+from __future__ import annotations
+
+import importlib
+from typing import Any
+
+#: Public name -> the submodule that defines it.  Nothing is imported
+#: until a name is first read (PEP 562), so ``import repro.obs`` and its
+#: sibling observability packages load without numpy.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "DeletionUnsupportedError",
+            "DomainError",
+            "IncompatibleSketchError",
+            "QueryError",
+            "ReproError",
+        ),
+        ".errors",
+    ),
+    **dict.fromkeys(
+        (
+            "JoinEstimateBreakdown",
+            "SketchParameters",
+            "SkimResult",
+            "SkimmedSketch",
+            "SkimmedSketchSchema",
+            "est_skim_join_size",
+            "est_sub_join_size",
+            "skim_dense",
+            "skim_dense_dyadic",
+        ),
+        ".core",
+    ),
+    **dict.fromkeys(
+        (
+            "AGMSSchema",
+            "AGMSSketch",
+            "DyadicHashSketch",
+            "DyadicSketchSchema",
+            "HashSketch",
+            "HashSketchSchema",
+            "StreamSynopsis",
+            "TopKSketch",
+        ),
+        ".sketches",
+    ),
+    "BulkHashCache": ".hashing",
+    "ParallelStreamEngine": ".parallel",
+    "ShardedIngestor": ".parallel",
+    "FrequencyVector": ".streams",
+    "StreamEngine": ".streams",
+    "Update": ".streams",
+    **dict.fromkeys(
+        (
+            "SerializationError",
+            "load_sketch",
+            "merge_sketch_state",
+            "save_sketch",
+            "sketch_from_spec",
+            "sketch_from_state",
+            "sketch_spec",
+            "sketch_state",
+        ),
+        ".sketches.serialize",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    """Import the submodule behind a public name on first access."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AGMSSchema",
-    "AGMSSketch",
-    "BulkHashCache",
-    "DeletionUnsupportedError",
-    "DomainError",
-    "DyadicHashSketch",
-    "DyadicSketchSchema",
-    "FrequencyVector",
-    "HashSketch",
-    "HashSketchSchema",
-    "IncompatibleSketchError",
-    "JoinEstimateBreakdown",
-    "ParallelStreamEngine",
-    "QueryError",
-    "ReproError",
-    "SerializationError",
-    "ShardedIngestor",
-    "SketchParameters",
-    "SkimResult",
-    "SkimmedSketch",
-    "SkimmedSketchSchema",
-    "StreamEngine",
-    "StreamSynopsis",
-    "TopKSketch",
-    "Update",
-    "est_skim_join_size",
-    "est_sub_join_size",
-    "load_sketch",
-    "merge_sketch_state",
-    "save_sketch",
-    "sketch_from_spec",
-    "sketch_from_state",
-    "sketch_spec",
-    "sketch_state",
-    "skim_dense",
-    "skim_dense_dyadic",
-    "__version__",
-]
+__all__ = [*sorted(_EXPORTS), "__version__"]

@@ -27,9 +27,11 @@ class ErrorDiscipline(Rule):
       ``ValueError``) or a more specific ``ReproError`` subclass;
     * ``assert`` statements — validate with an explicit raise.
 
-    Exempt: ``repro/errors.py`` (defines the hierarchy) and the
-    deliberately standalone packages ``repro.obs`` / ``repro.analysis``,
-    which must stay importable with zero intra-repo dependencies.
+    Exempt: ``repro/errors.py`` (defines the hierarchy), the standalone
+    packages ``repro.analysis`` / ``repro.bench`` (they import nothing
+    from ``repro``), and — until their raises are typed, as
+    ``repro.obs``'s are — ``repro.trace`` / ``repro.monitor`` /
+    ``repro.profile`` / ``repro.federate`` (see ``STANDALONE_PACKAGES``).
 
     Example violation::
 

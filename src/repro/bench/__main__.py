@@ -120,13 +120,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         profiling = bool(args.profile_out or args.timeseries_out)
         if profiling:
-            from ..obs import METRICS
-            from ..profile import (
-                PROFILER,
-                RECORDER,
-                write_profile_jsonl,
-                write_timeseries_jsonl,
-            )
+            from ..obs import METRICS, write_jsonl
+            from ..profile import PROFILER, RECORDER
 
             if args.profile_out:
                 PROFILER.reset()
@@ -152,14 +147,14 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 if args.profile_out:
                     snap = PROFILER.snapshot()
-                    write_profile_jsonl(args.profile_out, snap)
+                    write_jsonl(args.profile_out, snap)
                     print(
                         f"wrote {args.profile_out} "
                         f"({len(snap['samples'])} stack samples)"
                     )
                 if args.timeseries_out:
                     snap = RECORDER.snapshot()
-                    write_timeseries_jsonl(args.timeseries_out, snap)
+                    write_jsonl(args.timeseries_out, snap)
                     print(
                         f"wrote {args.timeseries_out} "
                         f"({len(snap['frames'])} telemetry frames)"

@@ -20,14 +20,14 @@ emits; ``--full-scale`` switches the workload sizes exactly like setting
 telemetry document to ``PATH`` (check it with ``python -m repro.obs
 validate``); ``--trace-out PATH`` enables the
 :mod:`repro.trace` span tracer and writes the trace as JSONL (convert it
-with ``python -m repro.trace convert``); ``--audit-out PATH`` enables the
+with ``python -m repro.obs convert``); ``--audit-out PATH`` enables the
 :mod:`repro.monitor` estimate-quality audits and writes every
 ``QueryAudit`` (plus drift alerts) to ``PATH`` as JSONL — serve it with
-``python -m repro.monitor serve``.  ``--profile-out PATH`` starts the
+``python -m repro.obs serve``.  ``--profile-out PATH`` starts the
 :mod:`repro.profile` sampling profiler for the run and writes the stack
-samples as JSONL (inspect with ``python -m repro.profile top``);
+samples as JSONL (inspect with ``python -m repro.obs summary``);
 ``--timeseries-out PATH`` starts the flight recorder and writes the
-telemetry frames as JSONL — both are served by ``python -m repro.monitor
+telemetry frames as JSONL — both are served by ``python -m repro.obs
 serve --profile ... --timeseries ...`` and its ``/dashboard`` page.  The
 ``smoke`` experiment additionally runs a shadow-audited engine workload
 while audits are on, so the JSONL contains realized-error verdicts too.
@@ -42,14 +42,9 @@ import sys
 from typing import Callable
 
 from ..monitor import AUDIT
-from ..obs import METRICS, write_telemetry
-from ..profile import (
-    PROFILER,
-    RECORDER,
-    write_profile_jsonl,
-    write_timeseries_jsonl,
-)
-from ..trace import TRACER, write_trace_jsonl
+from ..obs import METRICS, write_jsonl, write_telemetry
+from ..profile import PROFILER, RECORDER
+from ..trace import TRACER
 
 from .figures import (
     ExperimentScale,
@@ -133,7 +128,7 @@ def _baseline_panel(scale: ExperimentScale, trials: int | None) -> str:
 def _smoke(scale: ExperimentScale, trials: int | None) -> str:
     """Seconds-scale end-to-end workload; drives the update, skim and join
     estimation paths so ``--metrics-out`` snapshots cover them (this is
-    what ``make metrics-smoke`` runs)."""
+    what ``make obs-smoke`` runs)."""
     from .runner import SweepConfig
 
     tiny = ExperimentScale(
@@ -159,7 +154,7 @@ def _audited_query_segment() -> str:
     1.0 — exact on this tiny domain), then answers a battery of join and
     self-join queries.  Every answer lands in ``repro.monitor.AUDIT``
     with a realized-error verdict, which is what ``--audit-out`` writes
-    and ``make monitor-smoke`` scrapes.
+    and ``make obs-smoke`` scrapes.
     """
     import numpy as np
 
@@ -330,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
             write_telemetry(args.metrics_out, METRICS.snapshot())
             print(f"[metrics snapshot written to {args.metrics_out}]")
         if args.trace_out:
-            write_trace_jsonl(args.trace_out, TRACER.snapshot())
+            write_jsonl(args.trace_out, TRACER.snapshot())
             print(f"[trace written to {args.trace_out}]")
         if args.audit_out:
             lines = AUDIT.write_jsonl(args.audit_out)
@@ -338,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.profile_out:
             PROFILER.stop()
             snapshot = PROFILER.snapshot()
-            write_profile_jsonl(args.profile_out, snapshot)
+            write_jsonl(args.profile_out, snapshot)
             print(
                 f"[{len(snapshot['samples'])} stack samples written to "
                 f"{args.profile_out}]"
@@ -346,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.timeseries_out:
             RECORDER.stop()
             ts = RECORDER.snapshot()
-            write_timeseries_jsonl(args.timeseries_out, ts)
+            write_jsonl(args.timeseries_out, ts)
             print(
                 f"[{len(ts['frames'])} telemetry frames written to "
                 f"{args.timeseries_out}]"

@@ -18,15 +18,14 @@ the schema, JSON, merge algebra and Prometheus exposition):
   round span, per-origin Perfetto lanes);
 * :class:`FederatedSource` scrapes many documents — live monitor
   endpoints or files — into one origin-labelled Prometheus exposition
-  and a fleet ``/topology`` summary for ``python -m repro.monitor serve
+  and a fleet ``/topology`` summary for ``python -m repro.obs serve
   --federate``.
 
-``python -m repro.federate`` hosts ``selfcheck`` (merge algebra + wire
-round-trips) and ``run`` (a multi-site demo producing merged metrics, a
-stitched trace, and per-origin telemetry files); ``python -m repro.obs
-validate|diff|merge`` works on the files.
+``python -m repro.obs fleet`` runs a multi-site demo producing merged
+metrics, a stitched trace and per-origin telemetry files; ``python -m
+repro.obs validate|diff|merge`` works on the files.
 
-Everything importable here is standard-library only; the ``run``
+``import repro.federate`` loads only the standard library; the fleet
 demo imports the sketch machinery (numpy) lazily.
 """
 

@@ -3,8 +3,8 @@
 A :class:`FederatedSource` owns a set of named origins, each backed by a
 loader (a JSON file on disk or an HTTP endpoint serving JSON).  Every
 origin serves one telemetry document (:mod:`repro.obs.telemetry`) — a
-site shipper's file, a ``--metrics-out`` file, ``federate run``'s
-``metrics.json`` or a monitor's ``/snapshot``.  They render into one
+site shipper's file, a ``--metrics-out`` file, ``python -m repro.obs
+fleet``'s ``metrics.json`` or a monitor's ``/snapshot``.  They render into one
 Prometheus text exposition through the document's own renderer, every
 sample labelled ``origin="..."`` and each metric family declared once
 even when several origins report it.  :meth:`FederatedSource.topology`
@@ -22,22 +22,14 @@ import time
 import urllib.request
 from typing import Any, Mapping
 
-try:  # package layout
-    from ..obs.telemetry import (
-        escape_label,
-        prometheus_families,
-        render_families,
-        telemetry_from_json,
-        validate_telemetry,
-    )
-except ImportError:  # standalone layout: `obs` next to `federate`
-    from obs.telemetry import (  # type: ignore
-        escape_label,
-        prometheus_families,
-        render_families,
-        telemetry_from_json,
-        validate_telemetry,
-    )
+from ..obs.telemetry import (
+    escape_label,
+    prometheus_families,
+    read_telemetry,
+    render_families,
+    telemetry_from_json,
+    validate_telemetry,
+)
 
 #: Topology document schema version (the ``/topology`` endpoint payload).
 TOPOLOGY_VERSION = 1
@@ -52,8 +44,7 @@ class _FileLoader:
         self.target = path
 
     def load(self) -> tuple[dict[str, Any], float | None]:
-        with open(self.target, encoding="utf-8") as fh:
-            doc = telemetry_from_json(fh.read())
+        doc = read_telemetry(self.target)
         age = max(0.0, time.time() - os.path.getmtime(self.target))
         return doc, age
 

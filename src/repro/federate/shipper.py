@@ -18,9 +18,8 @@ exact count/sum deltas plus a bounded, evenly-strided reservoir excerpt
 representative rather than window-exact — the one approximate section,
 and it only affects quantile estimates, never counts or sums).
 
-Imports are stdlib-only (the same contract as every other observability
-package), with the standalone-layout fallbacks used across
-``repro.monitor``.
+Importing it loads only the standard library, the same contract as every
+other observability package.
 """
 
 from __future__ import annotations
@@ -28,22 +27,16 @@ from __future__ import annotations
 import time
 from typing import Any
 
-try:  # package layout
-    from ..monitor.audit import audit_gauges
-    from ..obs.telemetry import (
-        DEFAULT_HISTOGRAM_SAMPLES,
-        RegistryCursor,
-        capture_metrics,
-        empty_telemetry,
-    )
-except ImportError:  # standalone layout: `obs` next to `federate`
-    from monitor.audit import audit_gauges  # type: ignore
-    from obs.telemetry import (  # type: ignore
-        DEFAULT_HISTOGRAM_SAMPLES,
-        RegistryCursor,
-        capture_metrics,
-        empty_telemetry,
-    )
+from ..monitor import AUDIT
+from ..monitor.audit import audit_gauges
+from ..obs import METRICS
+from ..obs.telemetry import (
+    DEFAULT_HISTOGRAM_SAMPLES,
+    RegistryCursor,
+    capture_metrics,
+    empty_telemetry,
+)
+from ..trace import TRACER
 
 #: Default cap on spans shipped per capture (a site round emits a
 #: handful; the cap bounds pathological always-on tracing).
@@ -52,30 +45,6 @@ DEFAULT_SPAN_BATCH = 512
 #: Sentinel distinguishing "use the process singleton" (default) from an
 #: explicit ``None`` ("skip this section").
 _UNSET: Any = object()
-
-
-def _default_metrics() -> Any:
-    try:  # pragma: no cover - exercised via the standalone import test
-        from ..obs import METRICS
-    except ImportError:  # standalone layout: `obs` next to `federate`
-        from obs import METRICS  # type: ignore
-    return METRICS
-
-
-def _default_tracer() -> Any:
-    try:  # pragma: no cover
-        from ..trace import TRACER
-    except ImportError:
-        from trace import TRACER  # type: ignore
-    return TRACER
-
-
-def _default_audit() -> Any:
-    try:  # pragma: no cover
-        from ..monitor import AUDIT
-    except ImportError:
-        from monitor import AUDIT  # type: ignore
-    return AUDIT
 
 
 class TelemetryShipper:
@@ -89,9 +58,8 @@ class TelemetryShipper:
     coordinator merging them by summation reconstructs the origin's
     totals exactly.
 
-    The source singletons default to the process-wide ones; tests (and
-    the ``selfcheck`` CLI) inject private registries to emulate separate
-    processes inside one.  Passing ``audit=None`` explicitly skips the
+    The source singletons default to the process-wide ones; tests inject
+    private registries to emulate separate processes inside one.  Passing ``audit=None`` explicitly skips the
     audit gauges.
 
     Call sites must guard on ``OBS.enabled`` — an unguarded
@@ -113,9 +81,9 @@ class TelemetryShipper:
         if max_spans < 1:
             raise ValueError(f"max_spans must be >= 1, got {max_spans}")
         self.origin = origin
-        self.registry = registry if registry is not None else _default_metrics()
-        self.tracer = tracer if tracer is not None else _default_tracer()
-        self.audit = _default_audit() if audit is _UNSET else audit
+        self.registry = registry if registry is not None else METRICS
+        self.tracer = tracer if tracer is not None else TRACER
+        self.audit = AUDIT if audit is _UNSET else audit
         self.max_spans = max_spans
         self.max_histogram_samples = max_histogram_samples
         self._seq = 0

@@ -12,13 +12,13 @@ that guarantee *observable* at runtime:
   :class:`DriftAlert` when realized error stops fitting the CIs;
 * :mod:`repro.monitor.service` — a stdlib HTTP server exposing
   ``/metrics`` (Prometheus), ``/health``, ``/audits`` and ``/snapshot``
-  (imported lazily; ``python -m repro.monitor serve``).
+  (imported lazily; ``python -m repro.obs serve``).
 
 Like ``repro.obs`` and ``repro.trace``, auditing is **off by default**:
 :data:`AUDIT` starts disabled and every instrumentation hook in the
 estimator / engine / coordinator sits behind one ``if _AUDIT.enabled:``
-branch (enforced repo-wide by linter rule R3).  The package imports only
-the standard library.
+branch (enforced repo-wide by linter rule R3).  ``import repro.monitor``
+loads only the standard library.
 """
 
 from .audit import (

@@ -360,20 +360,26 @@ class AuditLog:
     def __iter__(self) -> Iterator[QueryAudit]:
         return iter(self._ring)
 
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-ready dump of the ring and alerts (readable while
-        disabled, like a metrics snapshot).
+    @property
+    def recorded(self) -> int:
+        """Audits recorded since the last reset, evicted ones included."""
+        return self._next_index - 1
 
-        ``list(deque)`` runs atomically under the GIL, so materialising
-        first lets a monitor thread snapshot while queries append —
-        iterating the live deque directly would raise ``RuntimeError``.
+    def snapshot(self, count: int | None = None) -> dict[str, Any]:
+        """JSON-ready dump of the ring (or its last ``count`` audits) and
+        the alerts; readable while disabled, like a metrics snapshot.
+
+        Only the returned audits are serialised.  ``list(deque)`` runs
+        atomically under the GIL, so materialising first lets a monitor
+        thread snapshot while queries append — iterating the live deque
+        directly would raise ``RuntimeError``.
         """
-        audits = list(self._ring)
+        audits = self.audits() if count is None else self.recent(count)
         alerts = list(self.alerts)
         return {
             "version": 1,
             "kind": "repro.monitor",
-            "recorded": self._next_index - 1,
+            "recorded": self.recorded,
             "evicted": self.evicted,
             "audits": [a.as_dict() for a in audits],
             "alerts": [a.as_dict() for a in alerts],

@@ -1,4 +1,4 @@
-"""Stdlib-rendered ``/dashboard`` HTML page for ``repro.monitor serve``.
+"""Stdlib-rendered ``/dashboard`` HTML page for ``python -m repro.obs serve``.
 
 One self-contained document — inline CSS, inline SVG, zero scripts,
 zero external assets — so it renders from ``curl`` output, a file://
@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import html
 from typing import Any, Sequence
+
+from ..profile import aggregate_samples
 
 #: Sparkline geometry (viewBox units; the SVG scales to its card).
 _SPARK_W = 280.0
@@ -218,10 +220,6 @@ def _series_points(
 
 def _aggregate_profile(profile: dict[str, Any]) -> dict[str, Any] | None:
     try:
-        from ..profile import aggregate_samples
-    except ImportError:  # standalone layout: shadows stdlib `profile`
-        from profile import aggregate_samples  # type: ignore
-    try:
         return aggregate_samples(profile)
     except ValueError:
         return None  # malformed snapshot: render the rest of the page
@@ -269,12 +267,11 @@ def render_dashboard(source: Any, federation: Any = None) -> str:
     adds a per-origin fleet table above the telemetry sections.
     """
     metrics = source.metrics_snapshot()
-    audits = source.audit_snapshot()
     profile = source.profile_snapshot()
     timeseries = source.timeseries_snapshot()
 
     counters = metrics.get("counters", {})
-    alert_count = len(audits.get("alerts", []))
+    alert_count = len(source.audits.alerts)
     frames = timeseries.get("frames", [])
 
     parts: list[str] = [
@@ -292,7 +289,7 @@ def render_dashboard(source: Any, federation: Any = None) -> str:
     tiles = [
         ("elements seen", _fmt(counters.get("engine.elements.seen", 0.0)), "", ""),
         ("queries answered", _fmt(counters.get("engine.queries", 0.0)), "", ""),
-        ("audits recorded", _fmt(float(audits.get("recorded", 0))), "", ""),
+        ("audits recorded", _fmt(float(source.audits.recorded)), "", ""),
         (
             "drift alerts",
             _fmt(float(alert_count)),

@@ -1,6 +1,6 @@
 """Live monitoring HTTP surface: metrics, audits, profiles, dashboard.
 
-``python -m repro.monitor serve`` turns a (running or finished) audited
+``python -m repro.obs serve`` turns a (running or finished) audited
 experiment into something scrapeable like a production service:
 
 * ``/metrics`` — Prometheus text exposition of the metrics document via
@@ -27,38 +27,34 @@ serves the **live** process registries (``repro.obs.METRICS`` /
 ``repro.monitor.AUDIT`` / ``repro.profile.PROFILER``/``RECORDER``) or
 **files** written by ``--metrics-out`` / ``--audit-out`` /
 ``--profile-out`` / ``--timeseries-out`` — the latter is what ``make
-monitor-smoke`` scrapes.
+obs-smoke`` scrapes.  The source holds the :class:`AuditLog` itself, so a
+scrape reads the ring's counts and last audit directly and only
+``/audits`` serialises audits (just the ones it returns).
 
-Imports are stdlib plus ``repro.obs.telemetry`` (itself stdlib-only); the
-``except ImportError`` fallback lets the module load when ``repro``'s
-numpy-importing package root is unavailable (tests run it with bare
-``obs`` / ``monitor`` on ``sys.path`` to enforce the no-numpy contract).
+Imports are stdlib plus the other observability packages; importing the
+module loads no numpy (the test suite enforces it).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 from urllib.parse import parse_qs, urlparse
 
-try:  # pragma: no cover - exercised via the standalone import test
-    from ..obs.telemetry import (
-        empty_telemetry,
-        read_telemetry,
-        snapshot_to_prometheus,
-        telemetry_to_json,
-    )
-except ImportError:  # standalone import: `obs` next to `monitor` on sys.path
-    from obs.telemetry import (  # type: ignore
-        empty_telemetry,
-        read_telemetry,
-        snapshot_to_prometheus,
-        telemetry_to_json,
-    )
-
+from ..obs import METRICS
+from ..obs.jsonl import read_jsonl
+from ..obs.telemetry import (
+    empty_telemetry,
+    read_telemetry,
+    snapshot_to_prometheus,
+    telemetry_to_json,
+)
+from ..profile import PROFILER, RECORDER, validate_profile, validate_timeseries
+from . import AUDIT
 from .audit import AuditLog, audit_gauges, read_audit_jsonl
 
 #: Empty metrics document (served when no metrics source exists).
@@ -85,25 +81,26 @@ EMPTY_TIMESERIES: dict[str, Any] = {
 
 
 class MonitorSource:
-    """What the HTTP handlers read: four snapshot thunks.
+    """What the HTTP handlers read: three snapshot thunks and the audit log.
 
-    ``metrics_snapshot`` returns a telemetry document;
-    ``audit_snapshot`` an :meth:`AuditLog.snapshot` dict;
-    ``profile_snapshot`` / ``timeseries_snapshot`` the ``repro.profile``
-    sampler/recorder snapshots (both optional — they default to empty
-    documents so a metrics-only deployment needs no profiler).  All are
-    called per request, so live sources always serve fresh state.
+    ``metrics_snapshot`` returns a telemetry document; ``audits`` is the
+    :class:`AuditLog` itself (read in place — a scrape never serialises
+    the ring); ``profile_snapshot`` / ``timeseries_snapshot`` return the
+    ``repro.profile`` sampler/recorder snapshots (both optional — they
+    default to empty documents so a metrics-only deployment needs no
+    profiler).  The thunks are called per request, so live sources
+    always serve fresh state.
     """
 
     def __init__(
         self,
         metrics_snapshot: Callable[[], dict[str, Any]],
-        audit_snapshot: Callable[[], dict[str, Any]],
+        audits: AuditLog,
         profile_snapshot: Callable[[], dict[str, Any]] | None = None,
         timeseries_snapshot: Callable[[], dict[str, Any]] | None = None,
     ) -> None:
         self.metrics_snapshot = metrics_snapshot
-        self.audit_snapshot = audit_snapshot
+        self.audits = audits
         self.profile_snapshot = profile_snapshot or (lambda: dict(EMPTY_PROFILE))
         self.timeseries_snapshot = timeseries_snapshot or (
             lambda: dict(EMPTY_TIMESERIES)
@@ -113,20 +110,8 @@ class MonitorSource:
 def live_source() -> MonitorSource:
     """Source backed by the process-wide ``METRICS``, ``AUDIT``,
     ``PROFILER`` and ``RECORDER``."""
-    try:
-        from ..obs import METRICS
-    except ImportError:  # standalone layout (see module docstring)
-        from obs import METRICS  # type: ignore
-    try:
-        from . import AUDIT
-    except ImportError:
-        from monitor import AUDIT  # type: ignore
-    try:
-        from ..profile import PROFILER, RECORDER
-    except ImportError:  # standalone layout: shadows stdlib `profile`
-        from profile import PROFILER, RECORDER  # type: ignore
     return MonitorSource(
-        METRICS.snapshot, AUDIT.snapshot, PROFILER.snapshot, RECORDER.snapshot
+        METRICS.snapshot, AUDIT, PROFILER.snapshot, RECORDER.snapshot
     )
 
 
@@ -155,35 +140,19 @@ def file_source(
             log.alert(_DictAlert(alert))
     log.disable()
     if profile_path is not None:
-        profile_doc = _read_profile_jsonl(profile_path)
+        profile_doc = validate_profile(read_jsonl(profile_path))
     else:
         profile_doc = dict(EMPTY_PROFILE)
     if timeseries_path is not None:
-        timeseries_doc = _read_timeseries_jsonl(timeseries_path)
+        timeseries_doc = validate_timeseries(read_jsonl(timeseries_path))
     else:
         timeseries_doc = dict(EMPTY_TIMESERIES)
     return MonitorSource(
         lambda: snapshot,
-        log.snapshot,
+        log,
         lambda: profile_doc,
         lambda: timeseries_doc,
     )
-
-
-def _read_profile_jsonl(path: str) -> dict[str, Any]:
-    try:
-        from ..profile import read_profile_jsonl
-    except ImportError:  # standalone layout (see module docstring)
-        from profile import read_profile_jsonl  # type: ignore
-    return read_profile_jsonl(path)
-
-
-def _read_timeseries_jsonl(path: str) -> dict[str, Any]:
-    try:
-        from ..profile import read_timeseries_jsonl
-    except ImportError:
-        from profile import read_timeseries_jsonl  # type: ignore
-    return read_timeseries_jsonl(path)
 
 
 class _DictAlert:
@@ -216,7 +185,7 @@ def _stable_source(source: MonitorSource) -> MonitorSource:
     """A view of ``source`` whose thunks read through :func:`_read_stable`."""
     return MonitorSource(
         lambda: _read_stable(source.metrics_snapshot),
-        lambda: _read_stable(source.audit_snapshot),
+        source.audits,
         lambda: _read_stable(source.profile_snapshot),
         lambda: _read_stable(source.timeseries_snapshot),
     )
@@ -232,20 +201,18 @@ def merged_metrics_snapshot(source: MonitorSource) -> dict[str, Any]:
     shipper and the flight recorder read.
     """
     snapshot = source.metrics_snapshot()
-    audits = source.audit_snapshot()
+    log = source.audits
+    records = log.audits()  # one list copy; nothing is serialised
     merged = dict(snapshot, gauges=dict(snapshot["gauges"]))
     now = time.time()
 
     def put(name: str, value: float) -> None:
         merged["gauges"][name] = [float(value), now]
 
-    records = audits.get("audits", [])
-    signals = audit_gauges(
-        (r.get("covered") for r in records), len(audits.get("alerts", []))
-    )
-    put("monitor.audits.recorded", audits.get("recorded", 0))
+    signals = audit_gauges((a.covered for a in records), len(log.alerts))
+    put("monitor.audits.recorded", log.recorded)
     put("monitor.audits.retained", len(records))
-    put("monitor.audits.evicted", audits.get("evicted", 0))
+    put("monitor.audits.evicted", log.evicted)
     put("audit.alerts", signals["audit.alerts"])
     if records:
         last = records[-1]
@@ -254,10 +221,10 @@ def merged_metrics_snapshot(source: MonitorSource) -> dict[str, Any]:
             ("ci_halfwidth", "monitor.audit.last_ci_halfwidth"),
             ("realized_error", "monitor.audit.last_realized_error"),
         ):
-            value = last.get(field)
-            if isinstance(value, (int, float)):
+            value = getattr(last, field)
+            if isinstance(value, (int, float)) and math.isfinite(value):
                 put(metric, value)
-        bound_ok = sum(1.0 for r in records if r.get("residual_bound_ok"))
+        bound_ok = sum(1.0 for a in records if a.residual_bound_ok)
         put("monitor.audit.residual_bound_ok_fraction", bound_ok / len(records))
     # Last: the exposition lists gauges in insertion order, and
     # tests/test_telemetry.py pins that order.
@@ -269,9 +236,9 @@ def merged_metrics_snapshot(source: MonitorSource) -> dict[str, Any]:
 def parse_prometheus(text: str) -> list[tuple[str, float]]:
     """Parse text exposition into ``(sample_name, value)`` pairs.
 
-    A deliberately strict little parser (used by ``selfcheck`` and the
-    tests): every non-comment, non-blank line must be
-    ``name[{labels}] value``; raises ``ValueError`` otherwise.
+    A deliberately strict little parser (used by ``python -m repro.obs
+    selfcheck`` and the tests): every non-comment, non-blank line must
+    be ``name[{labels}] value``; raises ``ValueError`` otherwise.
     """
     samples: list[tuple[str, float]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -298,8 +265,7 @@ class _MonitorHandler(BaseHTTPRequestHandler):
     prefix = "repro"
     # Optional repro.federate.FederatedSource (attached by MonitorServer):
     # /metrics becomes the origin-labelled federated exposition and
-    # /topology reports the fleet.  Typed loosely so this module keeps
-    # loading standalone without the federate package on sys.path.
+    # /topology reports the fleet.
     federation: Any = None
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -323,12 +289,12 @@ class _MonitorHandler(BaseHTTPRequestHandler):
                     payload = {"version": 1, "kind": "repro.topology", "origins": {}}
                 self._reply(200, json.dumps(payload), "application/json")
             elif url.path == "/health":
-                audits = source.audit_snapshot()
+                log = source.audits
                 payload = {
                     "status": "ok",
-                    "audits": len(audits.get("audits", [])),
-                    "recorded": audits.get("recorded", 0),
-                    "alerts": len(audits.get("alerts", [])),
+                    "audits": len(log),
+                    "recorded": log.recorded,
+                    "alerts": len(log.alerts),
                 }
                 self._reply(200, json.dumps(payload), "application/json")
             elif url.path == "/audits":
@@ -341,16 +307,18 @@ class _MonitorHandler(BaseHTTPRequestHandler):
                         "text/plain",
                     )
                     return
-                audits = source.audit_snapshot()
+                limit = None
                 if "n" in query:
                     try:
                         limit = max(0, int(query["n"][0]))
                     except ValueError:
                         self._reply(400, "bad ?n= parameter\n", "text/plain")
                         return
-                    audits = dict(audits)
-                    audits["audits"] = audits["audits"][-limit:] if limit else []
-                self._reply(200, json.dumps(audits), "application/json")
+                self._reply(
+                    200,
+                    json.dumps(source.audits.snapshot(limit)),
+                    "application/json",
+                )
             elif url.path == "/snapshot":
                 self._reply(
                     200,

@@ -26,12 +26,15 @@ or scoped::
         ...
     snap = registry.snapshot()
 
-This package imports **only the standard library** (no numpy) so it can
-ride along in the thinnest collection agent; the test suite enforces
-that.  Every capture is a telemetry document (:mod:`repro.obs.telemetry`
-— schema, JSON, merge, Prometheus exposition, diff); ``python -m
-repro.obs validate|diff|merge`` works on those files.  The metric
-catalogue the library emits is documented in ``docs/OBSERVABILITY.md``.
+``import repro.obs`` loads **only the standard library** (no numpy) so
+it can ride along in the thinnest collection agent; the test suite
+enforces that.  Every capture is a telemetry document
+(:mod:`repro.obs.telemetry` — schema, JSON, merge, Prometheus
+exposition, diff); traces, profiles and timeseries travel as JSONL
+through the one codec in :mod:`repro.obs.jsonl`.  ``python -m repro.obs``
+is the one observability CLI (validate, diff, merge, convert, summary,
+serve, selfcheck, fleet).  The metric catalogue the library emits is
+documented in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
+from .jsonl import from_jsonl, read_jsonl, to_jsonl, write_jsonl
 from .registry import Counter, Gauge, Histogram, MetricsRegistry, Timer
 from .switch import OBS, Sink, Switch
 from .telemetry import (
@@ -132,10 +136,12 @@ __all__ = [
     "disable",
     "empty_telemetry",
     "enable",
+    "from_jsonl",
     "is_enabled",
     "merge_all_telemetry",
     "merge_telemetry",
     "quantile",
+    "read_jsonl",
     "read_telemetry",
     "render_diff",
     "reset",
@@ -144,6 +150,8 @@ __all__ = [
     "telemetry_from_json",
     "telemetry_size_in_bytes",
     "telemetry_to_json",
+    "to_jsonl",
     "validate_telemetry",
+    "write_jsonl",
     "write_telemetry",
 ]

@@ -31,6 +31,7 @@ import threading
 import time
 from typing import Any, Callable, Iterator, Mapping
 
+from ..errors import ParameterError
 from .switch import Sink
 from .telemetry import capture_metrics, empty_telemetry, thin_samples
 
@@ -88,7 +89,9 @@ class Histogram:
 
     def __init__(self, name: str, reservoir_size: int = DEFAULT_RESERVOIR_SIZE):
         if reservoir_size < 1:
-            raise ValueError(f"reservoir_size must be >= 1, got {reservoir_size}")
+            raise ParameterError(
+                f"reservoir_size must be >= 1, got {reservoir_size}"
+            )
         self.name = name
         self.count = 0
         self.sum = 0.0

@@ -2,7 +2,7 @@
 
 Every metrics capture in the repo is one versioned JSON envelope — a
 ``--metrics-out`` file, the monitor's ``/snapshot``, ``python -m
-repro.federate run``'s ``metrics.json``, and the delta a site piggybacks
+repro.obs fleet``'s ``metrics.json``, and the delta a site piggybacks
 on its sketch reports (the paper's deployment, §1, is many sites and one
 coordinator).  Schema (version 2)::
 
@@ -36,7 +36,8 @@ The rest of the module is the document's algebra: validation, merge
 (counters sum, gauges take the last write by timestamp, histograms add
 count/sum and combine bounded reservoirs, span batches concatenate),
 Prometheus text exposition (optionally labelled per origin), and diff.
-Standard library only, like the rest of ``repro.obs``.
+Standard library only, like the rest of ``repro.obs``; a malformed
+document raises :class:`~repro.errors.ParameterError`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from __future__ import annotations
 import json
 import math
 from typing import Any, Iterable, Mapping
+
+from ..errors import ParameterError
 
 #: Telemetry envelope schema version.
 TELEMETRY_VERSION = 2
@@ -94,95 +97,96 @@ def _is_nonfinite(value: Any) -> bool:
 def _section(doc: dict[str, Any], name: str) -> dict[str, Any]:
     entries = doc.get(name)
     if not isinstance(entries, dict):
-        raise ValueError(f"section {name!r} missing or not a dict")
+        raise ParameterError(f"section {name!r} missing or not a dict")
     for key in entries:
         if not isinstance(key, str) or not key:
-            raise ValueError(f"bad metric name {key!r} in {name}")
+            raise ParameterError(f"bad metric name {key!r} in {name}")
     return entries
 
 
 def validate_telemetry(snapshot: Any) -> dict[str, Any]:
     """Check a document against the schema; returns it unchanged.
 
-    Raises ``ValueError`` naming the first violation — and nothing else,
-    whatever JSON value it is given.  Booleans are not numbers here.
+    Raises :class:`~repro.errors.ParameterError` (a ``ValueError``)
+    naming the first violation — and nothing else, whatever JSON value it
+    is given.  Booleans are not numbers here.
     Span parent references may point *outside* the batch (a parent
     still open at capture time ships in a later batch; the importer
     re-parents those), so only span id uniqueness is required.
     """
     if not isinstance(snapshot, dict):
-        raise ValueError(f"telemetry must be a dict, got {type(snapshot).__name__}")
+        raise ParameterError(f"telemetry must be a dict, got {type(snapshot).__name__}")
     version = snapshot.get("version")
     if not _is_int(version) or version != TELEMETRY_VERSION:
-        raise ValueError(
+        raise ParameterError(
             f"unsupported telemetry version {version!r} (expected {TELEMETRY_VERSION})"
         )
     if snapshot.get("kind") != TELEMETRY_KIND:
-        raise ValueError(f"unexpected telemetry kind {snapshot.get('kind')!r}")
+        raise ParameterError(f"unexpected telemetry kind {snapshot.get('kind')!r}")
     origin = snapshot.get("origin")
     if not isinstance(origin, str) or not origin:
-        raise ValueError(f"'origin' must be a non-empty string, got {origin!r}")
+        raise ParameterError(f"'origin' must be a non-empty string, got {origin!r}")
     for field in ("seq", "spans_dropped"):
         value = snapshot.get(field)
         if not _is_int(value) or value < 0:
-            raise ValueError(f"{field!r} must be a non-negative int, got {value!r}")
+            raise ParameterError(f"{field!r} must be a non-negative int, got {value!r}")
     for name, value in _section(snapshot, "counters").items():
         if not _is_number(value):
-            raise ValueError(f"counters[{name!r}] is not numeric: {value!r}")
+            raise ParameterError(f"counters[{name!r}] is not numeric: {value!r}")
     for name, pair in _section(snapshot, "gauges").items():
         if not (
             isinstance(pair, (list, tuple))
             and len(pair) == 2
             and all(map(_is_number, pair))
         ):
-            raise ValueError(
+            raise ParameterError(
                 f"gauges[{name!r}] must be a [value, timestamp] pair, got {pair!r}"
             )
     for name, state in _section(snapshot, "histograms").items():
         if not isinstance(state, dict):
-            raise ValueError(f"histograms[{name!r}] must be a dict")
+            raise ParameterError(f"histograms[{name!r}] must be a dict")
         missing = [f for f in _HISTOGRAM_FIELDS if f not in state]
         if missing:
-            raise ValueError(f"histograms[{name!r}] missing fields {missing}")
+            raise ParameterError(f"histograms[{name!r}] missing fields {missing}")
         if not _is_int(state["count"]) or state["count"] < 0:
-            raise ValueError(
+            raise ParameterError(
                 f"histograms[{name!r}]['count'] must be a non-negative int"
             )
         for field in ("sum", "min", "max"):
             if not _is_number(state[field]):
-                raise ValueError(f"histograms[{name!r}][{field!r}] is not numeric")
+                raise ParameterError(f"histograms[{name!r}][{field!r}] is not numeric")
         samples = state["samples"]
         if not isinstance(samples, list) or not all(map(_is_number, samples)):
-            raise ValueError(
+            raise ParameterError(
                 f"histograms[{name!r}]['samples'] must be a list of numbers"
             )
     spans = snapshot.get("spans")
     if not isinstance(spans, list):
-        raise ValueError("section 'spans' missing or not a list")
+        raise ParameterError("section 'spans' missing or not a list")
     seen_ids: set[int] = set()
     for index, span in enumerate(spans):
         if not isinstance(span, dict):
-            raise ValueError(f"spans[{index}] is not a dict")
+            raise ParameterError(f"spans[{index}] is not a dict")
         missing = [f for f in _SPAN_FIELDS if f not in span]
         if missing:
-            raise ValueError(f"spans[{index}] missing fields {missing}")
+            raise ParameterError(f"spans[{index}] missing fields {missing}")
         if not isinstance(span["name"], str) or not span["name"]:
-            raise ValueError(f"spans[{index}]['name'] must be a non-empty string")
+            raise ParameterError(f"spans[{index}]['name'] must be a non-empty string")
         if not _is_int(span["id"]) or span["id"] < 1:
-            raise ValueError(f"spans[{index}]['id'] must be a positive int")
+            raise ParameterError(f"spans[{index}]['id'] must be a positive int")
         if span["id"] in seen_ids:
-            raise ValueError(f"spans[{index}] reuses span id {span['id']}")
+            raise ParameterError(f"spans[{index}] reuses span id {span['id']}")
         seen_ids.add(span["id"])
         parent = span["parent"]
         if parent is not None and (not _is_int(parent) or parent < 1):
-            raise ValueError(f"spans[{index}]['parent'] must be null or a positive int")
+            raise ParameterError(f"spans[{index}]['parent'] must be null or a positive int")
         times = (span["start"], span["end"])
         if not all(_is_number(t) and not _is_nonfinite(t) for t in times):
-            raise ValueError(f"spans[{index}] start/end must be finite numbers")
+            raise ParameterError(f"spans[{index}] start/end must be finite numbers")
         if span["end"] < span["start"]:
-            raise ValueError(f"spans[{index}] ends before it starts")
+            raise ParameterError(f"spans[{index}] ends before it starts")
         if not isinstance(span["attrs"], dict):
-            raise ValueError(f"spans[{index}]['attrs'] must be a dict")
+            raise ParameterError(f"spans[{index}]['attrs'] must be a dict")
     return snapshot
 
 
@@ -220,7 +224,10 @@ def telemetry_to_json(snapshot: Mapping[str, Any]) -> str:
 
 def telemetry_from_json(text: str) -> dict[str, Any]:
     """Parse and validate a document (inverse of :func:`telemetry_to_json`)."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"telemetry is not JSON: {exc}") from None
     if isinstance(doc, dict):
         for section in ("counters", "gauges", "histograms"):
             if isinstance(doc.get(section), dict):
@@ -417,11 +424,10 @@ def merge_telemetry(
     """Merge two documents into one (pure; inputs untouched).
 
     Counters **sum** — commutative and associative, so a coordinator can
-    fold successive or sibling documents in any order (``python -m
-    repro.federate selfcheck`` proves it, the hypothesis suite fuzzes
-    it).  Gauges take the last write by timestamp; histograms add
-    count/sum and combine bounded reservoirs; span batches concatenate
-    with ids remapped and per-span ``origin=`` attribution preserved.
+    fold successive or sibling documents in any order (the hypothesis
+    suite in ``tests/test_federate.py`` proves it).  Gauges take the last
+    write by timestamp; histograms add count/sum and combine bounded
+    reservoirs; span batches concatenate with ids remapped and per-span ``origin=`` attribution preserved.
     The merged ``origin`` joins the two names with ``+`` (sorted) when
     they differ.
     """
@@ -453,7 +459,7 @@ def merge_all_telemetry(snapshots: Iterable[Mapping[str, Any]]) -> dict[str, Any
         doc = validate_telemetry(dict(snapshot))
         merged = doc if merged is None else merge_telemetry(merged, doc)
     if merged is None:
-        raise ValueError("nothing to merge (no snapshots given)")
+        raise ParameterError("nothing to merge (no snapshots given)")
     return merged
 
 
@@ -468,7 +474,7 @@ def quantile(ordered: list[float], q: float) -> float:
     0.0 when there are none: the one quantile rule for histogram
     reservoirs (exposition and diff)."""
     if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
+        raise ParameterError(f"quantile must be in [0, 1], got {q}")
     if not ordered:
         return 0.0
     rank = max(0, min(len(ordered) - 1, round(q * (len(ordered) - 1))))
@@ -503,7 +509,7 @@ def prometheus_families(
     summaries (quantiles from the shipped samples, ``_sum``, ``_count``).
     A non-``None`` origin labels every sample ``origin="..."``.  The same
     metric seen at several origins shares one family; two metric names
-    that sanitise to one family raise ``ValueError`` — a duplicated
+    that sanitise to one family raise ``ParameterError`` — a duplicated
     ``# TYPE`` is invalid exposition text.
     """
     families: dict[str, tuple[str, str, list[str]]] = {}
@@ -511,7 +517,7 @@ def prometheus_families(
     def emit(family: str, kind: str, name: str, lines: list[str]) -> None:
         held = families.setdefault(family, (kind, name, []))
         if held[:2] != (kind, name):
-            raise ValueError(
+            raise ParameterError(
                 f"metric names {held[1]!r} and {name!r} both sanitise "
                 f"to exposition family {family!r}"
             )

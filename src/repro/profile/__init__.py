@@ -7,8 +7,8 @@ off-by-default contract:
   ``sys._current_frames()`` at a configurable Hz into a bounded sample
   ring, stamping each sample with the innermost active ``repro.trace``
   span and the hot paths' coarse activity marker.  Exporters:
-  collapsed stacks (flamegraph input), speedscope JSON, samples JSONL,
-  and a ``top``-style aggregate report.
+  collapsed stacks (flamegraph input), speedscope JSON and a
+  ``top``-style aggregate report.
 * :data:`RECORDER` (:class:`FlightRecorder`) — periodic windows of
   ``repro.obs`` counter deltas, captured through the federation
   shipper's capture path (plus the audit ring's coverage/alert gauges)
@@ -19,43 +19,41 @@ off-by-default contract:
 
 Typical use::
 
+    from repro.obs import write_jsonl
     from repro.profile import PROFILER, RECORDER
 
     PROFILER.start(hz=97)
     RECORDER.start(interval=1.0)
     ...                              # run the workload
     PROFILER.stop(); RECORDER.stop()
-    write_profile_jsonl("run.prof.jsonl", PROFILER.snapshot())
-    write_timeseries_jsonl("run.ts.jsonl", RECORDER.snapshot())
+    write_jsonl("run.prof.jsonl", PROFILER.snapshot())
+    write_jsonl("run.ts.jsonl", RECORDER.snapshot())
 
 or let the CLIs do the wiring: ``python -m repro.eval ... --profile-out
 run.prof.jsonl --timeseries-out run.ts.jsonl``, then ``python -m
-repro.profile top run.prof.jsonl`` / ``python -m repro.monitor serve
+repro.obs summary run.prof.jsonl`` / ``python -m repro.obs serve
 --profile run.prof.jsonl`` (the ``/dashboard`` page renders both).
 
 Neither instrument has a hot-path method: hook sites reach them through
 ``repro.obs.OBS`` (the span sets the profiler's activity, the registry
 feeds the recorder), so both cost the hot paths the one ``OBS.enabled``
-read while disabled (``tests/test_obs_overhead.py`` budgets it).  The
-package imports **only the standard library** — no numpy — like
-obs/trace/monitor.
+read while disabled (``tests/test_obs_overhead.py`` budgets it).
+``import repro.profile`` loads **only the standard library** — no numpy
+— like obs/trace/monitor.
 """
 
 from __future__ import annotations
 
+from ..obs import METRICS as _METRICS, OBS as _OBS
 from .export import (
     PROFILE_VERSION,
     aggregate_samples,
     parse_collapsed,
-    profile_from_jsonl,
     profile_to_collapsed,
-    profile_to_jsonl,
     profile_to_speedscope,
-    read_profile_jsonl,
     render_top,
     validate_profile,
     validate_speedscope,
-    write_profile_jsonl,
 )
 from .recorder import (
     DEFAULT_INTERVAL,
@@ -66,11 +64,7 @@ from .recorder import (
     TelemetryFrame,
     TelemetryRing,
     TIMESERIES_VERSION,
-    read_timeseries_jsonl,
-    timeseries_from_jsonl,
-    timeseries_to_jsonl,
     validate_timeseries,
-    write_timeseries_jsonl,
 )
 from .sampler import (
     DEFAULT_HZ,
@@ -79,11 +73,6 @@ from .sampler import (
     SamplingProfiler,
     StackSample,
 )
-
-try:  # pragma: no cover - exercised via the standalone import test
-    from ..obs import METRICS as _METRICS, OBS as _OBS
-except ImportError:  # standalone layout: `obs` next to `profile` on sys.path
-    from obs import METRICS as _METRICS, OBS as _OBS  # type: ignore
 
 #: The process-wide sampling profiler; ``OBS.span`` sets its activity.
 PROFILER = SamplingProfiler(enabled=False)
@@ -141,19 +130,11 @@ __all__ = [
     "enable",
     "is_enabled",
     "parse_collapsed",
-    "profile_from_jsonl",
     "profile_to_collapsed",
-    "profile_to_jsonl",
     "profile_to_speedscope",
-    "read_profile_jsonl",
-    "read_timeseries_jsonl",
     "render_top",
     "reset",
-    "timeseries_from_jsonl",
-    "timeseries_to_jsonl",
     "validate_profile",
     "validate_speedscope",
     "validate_timeseries",
-    "write_profile_jsonl",
-    "write_timeseries_jsonl",
 ]

@@ -1,17 +1,17 @@
-"""Profile wire formats: samples JSONL, collapsed stacks, speedscope JSON.
+"""Profile schema and exports: collapsed stacks, speedscope JSON, ``top``.
 
-Three formats, all operating on plain sample dicts (the profiler's
-``snapshot()`` output), so a profile captured in one process can be
-converted and inspected in another:
+Everything operates on plain sample dicts (the profiler's ``snapshot()``
+output), so a profile captured in one process can be converted and
+inspected in another.  On disk a profile is JSONL through
+:mod:`repro.obs.jsonl`: a header ``{"version": 1, "kind":
+"repro.profile", "hz": h, "dropped": n}``, then one sample ``{"t",
+"thread", "frames", "span", "activity", "weight"}`` per line, frames
+outermost-first.  The export formats are
 
-* **JSONL** — line 1 is a header ``{"version": 1, "kind":
-  "repro.profile", "hz": h, "dropped": n}``; every following line is one
-  sample ``{"t", "thread", "frames", "span", "activity", "weight"}``
-  with frames outermost-first.  Greppable and append-friendly.
 * **Collapsed stacks** (Brendan Gregg) — one line per distinct stack,
   ``frame;frame;frame count``, the input format of every flamegraph
   tool.  :func:`parse_collapsed` inverts it (to aggregate counts), which
-  is how ``selfcheck`` proves the round trip.
+  is how the tests prove the round trip.
 * **speedscope** — the https://www.speedscope.app sampled-profile JSON,
   one profile per sampled thread, weights in seconds.
 
@@ -21,50 +21,12 @@ self/total seconds plus per-span and per-activity attribution tables.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Iterable
+from typing import Any
 
 #: Profile schema version emitted by :meth:`SamplingProfiler.snapshot`.
 PROFILE_VERSION = 1
 
 _SAMPLE_FIELDS = ("t", "thread", "frames", "span", "activity", "weight")
-
-
-# -- JSONL -----------------------------------------------------------------
-
-
-def profile_to_jsonl(snapshot: dict[str, Any]) -> str:
-    """Render a profiler snapshot as JSONL (header + one sample per line)."""
-    header = {
-        "version": snapshot.get("version", PROFILE_VERSION),
-        "kind": snapshot.get("kind", "repro.profile"),
-        "hz": snapshot.get("hz", 0.0),
-        "dropped": snapshot.get("dropped", 0),
-    }
-    lines = [json.dumps(header)]
-    for sample in snapshot.get("samples", []):
-        lines.append(json.dumps(sample))
-    return "\n".join(lines) + "\n"
-
-
-def profile_from_jsonl(text: str) -> dict[str, Any]:
-    """Parse and validate a JSONL profile (inverse of :func:`profile_to_jsonl`)."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty profile file (no header line)")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"header line is not JSON: {exc}") from None
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            samples.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno} is not JSON: {exc}") from None
-    snapshot = dict(header)
-    snapshot["samples"] = samples
-    return validate_profile(snapshot)
 
 
 def validate_profile(snapshot: Any) -> dict[str, Any]:
@@ -118,18 +80,6 @@ def validate_profile(snapshot: Any) -> dict[str, Any]:
     return snapshot
 
 
-def write_profile_jsonl(path: str, snapshot: dict[str, Any]) -> None:
-    """Write a profiler snapshot to ``path`` in the JSONL wire format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(profile_to_jsonl(snapshot))
-
-
-def read_profile_jsonl(path: str) -> dict[str, Any]:
-    """Load and validate a JSONL profile file."""
-    with open(path, encoding="utf-8") as fh:
-        return profile_from_jsonl(fh.read())
-
-
 # -- collapsed stacks ------------------------------------------------------
 
 
@@ -151,8 +101,8 @@ def profile_to_collapsed(snapshot: dict[str, Any]) -> str:
 def parse_collapsed(text: str) -> dict[str, int]:
     """Parse collapsed stacks back into ``{stack: count}``.
 
-    Raises ``ValueError`` on malformed lines; used by ``selfcheck`` to
-    prove the export round-trips.
+    Raises ``ValueError`` on malformed lines; the tests use it to prove
+    the export round-trips.
     """
     counts: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -25,7 +25,7 @@ applied here to the telemetry about the sketches.
 Contract matches the rest of the observability plane: one process-wide
 instance (``repro.profile.RECORDER``), **off by default**, no hot-path
 method of its own (hook sites only feed the registry, behind the one
-``OBS.enabled`` read), and the module imports nothing outside the
+``OBS.enabled`` read), and importing it loads nothing outside the
 standard library.
 """
 
@@ -36,25 +36,11 @@ import threading
 import time
 from typing import Any
 
-try:  # pragma: no cover - exercised via the standalone import test
-    from ..obs import METRICS as _METRICS
-    from ..obs.switch import Sink
-    from ..obs.telemetry import RegistryCursor, capture_scalars, empty_telemetry
-except ImportError:  # standalone layout: `obs` next to `profile` on sys.path
-    from obs import METRICS as _METRICS  # type: ignore
-    from obs.switch import Sink  # type: ignore
-    from obs.telemetry import (  # type: ignore
-        RegistryCursor,
-        capture_scalars,
-        empty_telemetry,
-    )
-
-try:  # pragma: no cover - exercised via the standalone import test
-    from ..monitor import AUDIT as _AUDIT
-    from ..monitor.audit import audit_gauges
-except ImportError:
-    from monitor import AUDIT as _AUDIT  # type: ignore
-    from monitor.audit import audit_gauges  # type: ignore
+from ..monitor import AUDIT as _AUDIT
+from ..monitor.audit import audit_gauges
+from ..obs import METRICS as _METRICS
+from ..obs.switch import Sink
+from ..obs.telemetry import RegistryCursor, capture_scalars, empty_telemetry
 
 #: Timeseries schema version emitted by :meth:`FlightRecorder.snapshot`.
 TIMESERIES_VERSION = 1
@@ -417,45 +403,9 @@ class FlightRecorder(Sink):
         )
 
 
-# -- wire format -----------------------------------------------------------
+# -- schema (the JSONL codec is repro.obs.jsonl) -----------------------------
 
 _FRAME_FIELDS = ("t0", "t1", "res", "merged", "counts", "gauges")
-
-
-def timeseries_to_jsonl(snapshot: dict[str, Any]) -> str:
-    """Render a recorder snapshot as JSONL (header + one frame per line)."""
-    header = {
-        "version": snapshot.get("version", TIMESERIES_VERSION),
-        "kind": snapshot.get("kind", "repro.timeseries"),
-        "interval": snapshot.get("interval", DEFAULT_INTERVAL),
-        "pushed": snapshot.get("pushed", 0),
-        "aged": snapshot.get("aged", 0),
-    }
-    lines = [json.dumps(header)]
-    for frame in snapshot.get("frames", []):
-        lines.append(json.dumps(frame))
-    return "\n".join(lines) + "\n"
-
-
-def timeseries_from_jsonl(text: str) -> dict[str, Any]:
-    """Parse and validate a JSONL timeseries (inverse of
-    :func:`timeseries_to_jsonl`)."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty timeseries file (no header line)")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"header line is not JSON: {exc}") from None
-    frames = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            frames.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno} is not JSON: {exc}") from None
-    snapshot = dict(header)
-    snapshot["frames"] = frames
-    return validate_timeseries(snapshot)
 
 
 def validate_timeseries(snapshot: Any) -> dict[str, Any]:
@@ -508,15 +458,3 @@ def validate_timeseries(snapshot: Any) -> dict[str, Any]:
                         f"frames[{index}][{section!r}] must map str -> number"
                     )
     return snapshot
-
-
-def write_timeseries_jsonl(path: str, snapshot: dict[str, Any]) -> None:
-    """Write a recorder snapshot to ``path`` in the JSONL wire format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(timeseries_to_jsonl(snapshot))
-
-
-def read_timeseries_jsonl(path: str) -> dict[str, Any]:
-    """Load and validate a JSONL timeseries file."""
-    with open(path, encoding="utf-8") as fh:
-        return timeseries_from_jsonl(fh.read())

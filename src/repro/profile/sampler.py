@@ -35,12 +35,8 @@ import time
 from types import FrameType
 from typing import Any
 
-try:  # pragma: no cover - exercised via the standalone import test
-    from ..obs.switch import Sink
-    from ..trace import TRACER as _TRACER
-except ImportError:  # standalone layout: `trace` next to `profile` on sys.path
-    from obs.switch import Sink  # type: ignore
-    from trace import TRACER as _TRACER  # type: ignore
+from ..obs.switch import Sink
+from ..trace import TRACER as _TRACER
 
 #: Default sampling frequency.  97 Hz (prime) avoids phase-locking with
 #: workloads that tick at round frequencies, the classic profiler trick.
@@ -128,7 +124,7 @@ class SamplingProfiler(Sink):
 
     ``sample_once()`` takes exactly one synchronous snapshot of the
     *other* threads plus the caller's own stack — the deterministic
-    entry the tests and ``selfcheck`` drive directly.
+    entry the tests drive directly.
 
     ``activity`` is written by ``repro.obs.OBS.span`` (the span name,
     for the span's duration); hot paths never call the profiler itself.

@@ -456,7 +456,6 @@ class StreamEngine:
             )
             audit.covered = covered
             if _OBS.enabled:
-                _METRICS.gauge("monitor.shadow.coverage", self._shadow.coverage())
                 _METRICS.gauge("monitor.audit.realized_error", realized)
             if alert is not None:
                 _AUDIT.alert(alert)

@@ -15,23 +15,24 @@ the same near-zero disabled-cost contract as ``repro.obs`` (see
 Typical use::
 
     from repro import trace
+    from repro.obs import write_jsonl
 
     trace.enable()
     engine.answer(query)            # spans accumulate
-    trace.write_trace_jsonl("q.trace.jsonl", trace.snapshot())
+    write_jsonl("q.trace.jsonl", trace.snapshot())
     trace.disable()
 
-then inspect with the CLI (``python -m repro.trace summarize
+then inspect with the CLI (``python -m repro.obs summary
 q.trace.jsonl``) or convert for the Perfetto UI (``python -m
-repro.trace convert q.trace.jsonl q.trace.json``).  Scoped capture::
+repro.obs convert q.trace.jsonl q.trace.json``).  Scoped capture::
 
     with trace.capturing() as tracer:
         engine.answer(query)
     spans = tracer.spans()
 
-This package imports **only the standard library** (no numpy) so it can
-ride along in the thinnest collection agent; the test suite enforces
-that.  The span catalogue the library emits is documented in
+``import repro.trace`` loads **only the standard library** (no numpy) so
+it can ride along in the thinnest collection agent; the test suite
+enforces that.  The span catalogue the library emits is documented in
 ``docs/OBSERVABILITY.md``.
 """
 
@@ -40,30 +41,22 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator
 
+from ..obs.switch import OBS as _OBS
 from .export import (
     TRACE_VERSION,
-    read_trace_jsonl,
     render_summary,
     summarize_trace,
-    trace_from_jsonl,
     trace_origins,
     trace_to_chrome,
-    trace_to_jsonl,
     validate_trace,
     write_trace_chrome,
-    write_trace_jsonl,
 )
 from .tracer import DEFAULT_MAX_SPANS, Span, SpanTracer
 
 #: The process-wide tracer every built-in instrumentation hook records to.
 TRACER = SpanTracer(enabled=False)
 
-try:  # pragma: no cover - exercised via the standalone import test
-    from ..obs.switch import OBS as _OBS
-except ImportError:  # standalone layout: no switch to report to
-    pass
-else:
-    _OBS.register(tracer=TRACER)
+_OBS.register(tracer=TRACER)
 
 
 def enable() -> None:
@@ -119,16 +112,12 @@ __all__ = [
     "disable",
     "enable",
     "is_enabled",
-    "read_trace_jsonl",
     "render_summary",
     "reset",
     "snapshot",
     "summarize_trace",
-    "trace_from_jsonl",
     "trace_origins",
     "trace_to_chrome",
-    "trace_to_jsonl",
     "validate_trace",
     "write_trace_chrome",
-    "write_trace_jsonl",
 ]

@@ -1,13 +1,12 @@
-"""Trace wire formats: JSONL records and Chrome/Perfetto ``trace_event``.
+"""Trace schema, Chrome/Perfetto ``trace_event`` export and span summary.
 
-Two formats, both operating on plain span dicts (the tracer's
-``snapshot()`` output), so a trace can be captured in one process and
-converted in another:
+Everything operates on plain span dicts (the tracer's ``snapshot()``
+output), so a trace can be captured in one process and converted in
+another.  On disk a trace is JSONL through :mod:`repro.obs.jsonl`: a
+header ``{"version": 1, "kind": "repro.trace", "dropped": n}``, then one
+span record ``{"name", "id", "parent", "start", "end", "attrs"}`` per
+line.  The other format is
 
-* **JSONL** — line 1 is a header ``{"version": 1, "kind":
-  "repro.trace", "dropped": n}``; every following line is one span
-  record ``{"name", "id", "parent", "start", "end", "attrs"}``.
-  Append-friendly, greppable, and diffable.
 * **Chrome ``trace_event``** — ``{"traceEvents": [...]}`` with complete
   (``"ph": "X"``) events for spans and instant (``"ph": "i"``) events
   for zero-duration records, timestamps in microseconds.  Loadable
@@ -15,7 +14,7 @@ converted in another:
 
 ``validate_trace`` checks structural invariants (schema version, field
 types, ``end >= start``, parent references resolving to known span
-ids) and is what ``python -m repro.trace validate`` runs.
+ids) and is what ``python -m repro.obs validate`` runs on a trace.
 """
 
 from __future__ import annotations
@@ -27,39 +26,6 @@ from typing import Any, Iterable
 TRACE_VERSION = 1
 
 _SPAN_FIELDS = ("name", "id", "parent", "start", "end", "attrs")
-
-
-def trace_to_jsonl(snapshot: dict[str, Any]) -> str:
-    """Render a tracer snapshot as JSONL (header line + one span per line)."""
-    header = {
-        "version": snapshot.get("version", TRACE_VERSION),
-        "kind": snapshot.get("kind", "repro.trace"),
-        "dropped": snapshot.get("dropped", 0),
-    }
-    lines = [json.dumps(header)]
-    for span in snapshot.get("spans", []):
-        lines.append(json.dumps(span))
-    return "\n".join(lines) + "\n"
-
-
-def trace_from_jsonl(text: str) -> dict[str, Any]:
-    """Parse and validate a JSONL trace (inverse of :func:`trace_to_jsonl`)."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty trace file (no header line)")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"header line is not JSON: {exc}") from None
-    spans = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            spans.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno} is not JSON: {exc}") from None
-    snapshot = dict(header)
-    snapshot["spans"] = spans
-    return validate_trace(snapshot)
 
 
 def validate_trace(snapshot: Any) -> dict[str, Any]:
@@ -214,18 +180,6 @@ def summarize_trace(snapshot: dict[str, Any]) -> list[dict[str, Any]]:
     return rows
 
 
-def write_trace_jsonl(path: str, snapshot: dict[str, Any]) -> None:
-    """Write a tracer snapshot to ``path`` in the JSONL wire format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trace_to_jsonl(snapshot))
-
-
-def read_trace_jsonl(path: str) -> dict[str, Any]:
-    """Load and validate a JSONL trace file."""
-    with open(path, encoding="utf-8") as fh:
-        return trace_from_jsonl(fh.read())
-
-
 def write_trace_chrome(path: str, snapshot: dict[str, Any]) -> None:
     """Write a trace as a Chrome/Perfetto-loadable JSON file."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -234,7 +188,7 @@ def write_trace_chrome(path: str, snapshot: dict[str, Any]) -> None:
 
 
 def render_summary(rows: Iterable[dict[str, Any]]) -> str:
-    """Human-readable table for ``python -m repro.trace summarize``."""
+    """Human-readable table for ``python -m repro.obs summary``."""
     header = f"{'span':<34} {'count':>7} {'total s':>10} {'mean s':>10} {'max s':>10}"
     lines = [header, "-" * len(header)]
     for row in rows:

@@ -15,7 +15,7 @@ The design contract is the same as :class:`repro.obs.MetricsRegistry`:
 * hook sites open spans through ``repro.obs.OBS.span`` behind a single
   ``OBS.enabled`` attribute read, so a disabled tracer costs one branch
   per call site (``tests/test_trace_overhead.py`` enforces the bound);
-* **no third-party imports** — ``repro.trace`` loads without numpy;
+* **no third-party imports** — ``import repro.trace`` loads no numpy;
 * bounded memory: at most ``max_spans`` finished spans are kept, the
   rest are counted in ``dropped`` instead of silently discarded.
 
@@ -31,18 +31,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-try:  # pragma: no cover - exercised via the standalone import test
-    from ..obs.switch import Sink
-except ImportError:  # standalone layout: a plain flag, no switch to keep in step
-    class Sink:  # type: ignore[no-redef]
-        def __init__(self, enabled: bool = False) -> None:
-            self.enabled = enabled
-
-        def enable(self) -> None:
-            self.enabled = True
-
-        def disable(self) -> None:
-            self.enabled = False
+from ..obs.switch import Sink
 
 #: Default cap on retained finished spans (a traced query emits tens of
 #: spans; this bounds memory even if tracing is left on during ingest).

@@ -6,13 +6,14 @@ delta capture and reset detection, the merge algebra (hypothesis
 property tests on integer counters), registry / tracer import
 operations, per-origin Perfetto lanes, the multi-source federation
 scraper with its Prometheus exposition and topology document, the
-monitor server's federated endpoints, the CLI, and the three-site
+monitor server's federated endpoints, the ``repro.obs`` CLI, and the three-site
 end-to-end acceptance run (origin-labelled coordinator metrics, a
 single stitched trace, trace-context propagation).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import urllib.request
 
@@ -32,7 +33,6 @@ from repro.federate import (
     TelemetryShipper,
     federation_from_args,
 )
-from repro.federate.__main__ import main as federate_main
 from repro.monitor.service import MonitorServer, parse_prometheus
 from repro.obs import (
     METRICS,
@@ -251,6 +251,29 @@ class TestMergeAlgebra:
         got = registry.snapshot()["counters"]
         assert got == expected
 
+    def test_whole_documents_merge_commutatively(self):
+        """Every section, not just counters: captures from three emulated
+        origins with gauges, histograms and nested spans."""
+        docs = []
+        for seed, origin in enumerate(("site.a", "site.b", "site.c")):
+            registry, tracer = fresh_pair()
+            registry.count("demo.updates", 10 + seed)
+            registry.gauge("demo.round", seed + 1)
+            for i in range(5):
+                registry.observe("demo.latency", 0.01 * (seed + 1) * (i + 1))
+            with tracer.span("demo.round", site=origin):
+                with tracer.span("demo.ingest"):
+                    tracer.instant("demo.mark", step=seed)
+            shipper = TelemetryShipper(
+                origin, registry=registry, tracer=tracer, audit=None
+            )
+            docs.append(shipper.capture_telemetry())
+        a, b, c = docs
+        assert merge_telemetry(a, b) == merge_telemetry(b, a)
+        assert merge_telemetry(merge_telemetry(a, b), c) == merge_telemetry(
+            merge_telemetry(b, c), a
+        )
+
     def test_gauges_take_last_write_by_timestamp(self):
         a = snapshot_for("site.a", {})
         b = snapshot_for("site.b", {})
@@ -424,11 +447,6 @@ class TestFederatedSource:
 
 
 class TestCLI:
-    def test_selfcheck_passes(self, capsys):
-        assert federate_main(["selfcheck"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-
     def test_validate_and_merge_round_trip(self, tmp_path, capsys):
         paths = []
         for i, origin in enumerate(("site.a", "site.b")):
@@ -449,8 +467,8 @@ class TestCLI:
         bad.write_text('{"not": "telemetry"}')
         assert obs_main(["validate", str(bad)]) == 1
         assert obs_main(["merge", str(bad)]) == 1
-        with pytest.raises(SystemExit):  # one CLI: repro.obs validate|merge
-            federate_main(["validate", str(bad)])
+        # One CLI: the package has no __main__ of its own.
+        assert importlib.util.find_spec("repro.federate.__main__") is None
 
 
 # ---------------------------------------------------------------------------

@@ -496,7 +496,7 @@ def _populated_source(n_audits: int = 3, with_alert: bool = True) -> MonitorSour
                 ci_halfwidth=0.1,
             )
         )
-    return MonitorSource(reg.snapshot, log.snapshot)
+    return MonitorSource(reg.snapshot, log)
 
 
 def _get(url: str) -> tuple[int, str]:
@@ -524,7 +524,7 @@ class TestMergedSnapshot:
         assert merged["counters"]["engine.queries"] == 3.0
 
     def test_empty_source_still_renders(self):
-        source = MonitorSource(lambda: dict(EMPTY_SNAPSHOT), AuditLog().snapshot)
+        source = MonitorSource(lambda: dict(EMPTY_SNAPSHOT), AuditLog())
         merged = merged_metrics_snapshot(source)
         assert merged["gauges"]["monitor.audits.recorded"][0] == 0.0
         assert "audit.coverage" not in merged["gauges"]
@@ -598,6 +598,37 @@ class TestMonitorServer:
             server.stop()  # idempotent
 
 
+class TestScrapeCost:
+    """A scrape reads the audit ring in place: ``/metrics``, ``/health``
+    and ``/dashboard`` serialise no audit, ``/audits?n=k`` exactly ``k``."""
+
+    def test_scrapes_of_a_full_ring_serialise_no_audit(self, monkeypatch):
+        log = AuditLog(enabled=True, max_audits=64)
+        for i in range(100):
+            log.record(_make_audit(estimate=float(i), covered=i % 3 != 0))
+        assert log.evicted == 36
+        calls = []
+        as_dict = QueryAudit.as_dict
+        monkeypatch.setattr(
+            QueryAudit, "as_dict", lambda self: calls.append(1) or as_dict(self)
+        )
+        source = MonitorSource(MetricsRegistry(enabled=True).snapshot, log)
+        with MonitorServer(source, port=0) as server:
+            status, body = _get(f"{server.url}/metrics")
+            assert status == 200
+            samples = dict(parse_prometheus(body))
+            assert samples["repro_monitor_audits_recorded"] == 100.0
+            assert samples["repro_monitor_audits_retained"] == 64.0
+            assert samples["repro_monitor_audit_last_estimate"] == 99.0
+            status, body = _get(f"{server.url}/health")
+            assert json.loads(body)["audits"] == 64
+            assert _get(f"{server.url}/dashboard")[0] == 200
+            assert calls == []
+            status, body = _get(f"{server.url}/audits?n=2")
+            assert [a["estimate"] for a in json.loads(body)["audits"]] == [98.0, 99.0]
+            assert len(calls) == 2
+
+
 class TestFileSourceAndCLI:
     def _write_inputs(self, tmp_path) -> tuple[str, str]:
         reg = MetricsRegistry(enabled=True)
@@ -615,12 +646,12 @@ class TestFileSourceAndCLI:
         metrics, audits = self._write_inputs(tmp_path)
         source = file_source(metrics, audits)
         assert source.metrics_snapshot()["counters"]["engine.queries"] == 2.0
-        assert len(source.audit_snapshot()["audits"]) == 2
+        assert len(source.audits) == 2
 
     def test_file_source_defaults_to_empty(self):
         source = file_source(None, None)
         assert source.metrics_snapshot() == EMPTY_SNAPSHOT
-        assert source.audit_snapshot()["audits"] == []
+        assert len(source.audits) == 0
 
     def test_file_source_fails_fast_on_bad_paths(self, tmp_path):
         with pytest.raises(OSError):
@@ -631,21 +662,21 @@ class TestFileSourceAndCLI:
             file_source(str(bad), None)
 
     def test_selfcheck_passes_on_good_inputs(self, tmp_path, capsys):
-        from repro.monitor.__main__ import main
+        from repro.obs.__main__ import main
 
         metrics, audits = self._write_inputs(tmp_path)
         assert main(["selfcheck", "--metrics", metrics, "--audits", audits]) == 0
         assert "selfcheck ok" in capsys.readouterr().out
 
     def test_selfcheck_fails_when_audits_missing(self, tmp_path, capsys):
-        from repro.monitor.__main__ import main
+        from repro.obs.__main__ import main
 
         metrics, _ = self._write_inputs(tmp_path)
         assert main(["selfcheck", "--metrics", metrics, "--min-audits", "1"]) == 1
         assert "selfcheck FAILED" in capsys.readouterr().err
 
     def test_selfcheck_fails_on_unreadable_inputs(self, tmp_path, capsys):
-        from repro.monitor.__main__ import main
+        from repro.obs.__main__ import main
 
         missing = str(tmp_path / "missing.jsonl")
         assert main(["selfcheck", "--audits", missing]) == 1
@@ -656,14 +687,13 @@ class TestImportCost:
     """``repro.monitor`` must stay importable without numpy — it rides in
     the thinnest serving agent alongside ``repro.obs``."""
 
-    def _package_parent(self) -> str:
-        return str(pathlib.Path(repro.monitor.__file__).parent.parent)
-
     @pytest.mark.parametrize("module", ["monitor", "monitor.service"])
     def test_monitor_does_not_import_numpy(self, module):
         code = (
-            "import sys; sys.path.insert(0, {path!r}); import {module}; "
+            "import sys; sys.path.insert(0, {path!r}); import repro.{module}; "
             "assert 'numpy' not in sys.modules, "
             "'repro.monitor must not import numpy'"
-        ).format(path=self._package_parent(), module=module)
+        ).format(
+            path=str(pathlib.Path(repro.monitor.__file__).parents[2]), module=module
+        )
         subprocess.run([sys.executable, "-c", code], check=True)

@@ -510,27 +510,54 @@ class TestDiffCLISchemaVersion:
 
 
 class TestImportCost:
-    """`repro.obs` must stay importable without heavy dependencies."""
+    """The observability packages load no numpy through the real package
+    path, starting with the lazy ``repro`` root itself."""
 
-    def _obs_package_dir(self) -> str:
-        return str(pathlib.Path(repro.obs.__file__).parent.parent)
+    def _run(self, code: str) -> str:
+        src = str(pathlib.Path(repro.obs.__file__).parents[2])
+        out = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+            check=True,
+            capture_output=True,
+            text=True,
+        )
+        return out.stdout
 
     def test_obs_does_not_import_numpy(self):
-        code = (
-            "import sys; sys.path.insert(0, {path!r}); import obs; "
-            "assert 'numpy' not in sys.modules, "
-            "'repro.obs must not import numpy'"
-        ).format(path=self._obs_package_dir())
-        subprocess.run([sys.executable, "-c", code], check=True)
+        self._run(
+            "import repro.obs; "
+            "assert 'numpy' not in sys.modules, 'repro.obs must not import numpy'"
+        )
 
     def test_obs_import_time_stays_small(self):
-        code = (
-            "import sys, time; sys.path.insert(0, {path!r}); "
-            "t = time.perf_counter(); import obs; "
-            "print(time.perf_counter() - t)"
-        ).format(path=self._obs_package_dir())
-        out = subprocess.run(
-            [sys.executable, "-c", code], check=True, capture_output=True, text=True
+        elapsed = float(
+            self._run(
+                "import time; t = time.perf_counter(); import repro.obs; "
+                "print(time.perf_counter() - t)"
+            ).strip()
         )
-        elapsed = float(out.stdout.strip())
         assert elapsed < 0.5, f"repro.obs import took {elapsed:.3f}s"
+
+    def test_repro_root_is_lazy(self):
+        self._run(
+            "import repro; "
+            "assert 'numpy' not in sys.modules, 'import repro loaded numpy'; "
+            "from repro import StreamEngine, ReproError, __version__; "
+            "assert 'numpy' in sys.modules and StreamEngine.__name__ == 'StreamEngine'"
+        )
+
+    def test_obs_cli_validates_without_numpy(self, tmp_path):
+        path = str(tmp_path / "m.json")
+        repro.obs.write_telemetry(path, repro.obs.empty_telemetry("site.a"))
+        # What ``python -m repro.obs validate`` runs, numpy check after.
+        out = self._run(
+            "import runpy; "
+            f"sys.argv = ['repro.obs', 'validate', {path!r}]\n"
+            "try:\n"
+            "    runpy.run_module('repro.obs', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0, exit.code\n"
+            "assert 'numpy' not in sys.modules, 'the CLI loaded numpy'"
+        )
+        assert out.startswith("ok:")
+

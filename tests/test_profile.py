@@ -19,30 +19,29 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.core.config import SketchParameters
+from repro.errors import ReproError
 from repro.monitor import AUDIT
 from repro.monitor.service import MonitorServer, live_source, parse_prometheus
-from repro.obs import METRICS, OBS
+from repro.obs import METRICS, OBS, from_jsonl, to_jsonl
 from repro.profile import (
     PROFILER,
+    RECORDER,
     FlightRecorder,
     SamplingProfiler,
     TelemetryFrame,
     TelemetryRing,
     aggregate_samples,
     parse_collapsed,
-    profile_from_jsonl,
     profile_to_collapsed,
-    profile_to_jsonl,
     profile_to_speedscope,
     render_top,
     validate_profile,
     validate_speedscope,
     validate_timeseries,
-    timeseries_from_jsonl,
-    timeseries_to_jsonl,
 )
 from repro.streams.engine import StreamEngine
 from repro.streams.query import JoinCountQuery
@@ -138,7 +137,7 @@ class TestSamplingProfiler:
 
 class TestProfileExports:
     def test_jsonl_round_trip(self):
-        restored = profile_from_jsonl(profile_to_jsonl(SYNTHETIC))
+        restored = validate_profile(from_jsonl(to_jsonl(SYNTHETIC)))
         assert restored == SYNTHETIC
 
     def test_validate_rejects_malformed(self):
@@ -148,8 +147,8 @@ class TestProfileExports:
             validate_profile(_make_snapshot([{"t": 0.0}]))
         with pytest.raises(ValueError):
             validate_profile(_make_snapshot([_make_sample(0.0, [])]))
-        with pytest.raises(ValueError):
-            profile_from_jsonl("")
+        with pytest.raises(ReproError):
+            from_jsonl("")
 
     def test_collapsed_round_trip(self):
         collapsed = profile_to_collapsed(SYNTHETIC)
@@ -280,7 +279,7 @@ class TestFlightRecorder:
         recorder.tick()
         snapshot = recorder.snapshot()
         validate_timeseries(snapshot)
-        restored = timeseries_from_jsonl(timeseries_to_jsonl(snapshot))
+        restored = validate_timeseries(from_jsonl(to_jsonl(snapshot)))
         assert restored["kind"] == "repro.timeseries"
         assert len(restored["frames"]) == len(snapshot["frames"])
 
@@ -289,6 +288,54 @@ class TestFlightRecorder:
             FlightRecorder(interval=0.0)
         with pytest.raises(ValueError):
             FlightRecorder().start(interval=-1.0)
+
+
+class TestProfiledRun:
+    """A real engine run under the daemon profiler, the flight recorder
+    and the tracer: samples land in the skim/join spans of real answers,
+    the frames carry the ingest counter the dashboard plots, and the
+    exporters keep every real sample."""
+
+    JOIN_SPANS = ("skim", "estimate", "engine.answer")
+
+    def _attributed(self) -> list:
+        return [
+            s
+            for s in PROFILER.samples()
+            if s.span is not None and s.span.startswith(self.JOIN_SPANS)
+        ]
+
+    def test_real_answers_are_attributed_and_recorded(self, rng):
+        domain = 1 << 12
+        engine = StreamEngine(
+            domain, SketchParameters(width=128, depth=5), synopsis="skimmed", seed=7
+        )
+        for name in ("f", "g"):
+            engine.register_stream(name)
+        values = rng.integers(0, domain, size=20_000)
+        weights = np.ones(values.size)
+        METRICS.enable()
+        TRACER.enable()
+        RECORDER.enable()
+        PROFILER.start(hz=250)
+        deadline = time.monotonic() + 20.0
+        try:
+            while not self._attributed() and time.monotonic() < deadline:
+                for name in ("f", "g"):
+                    engine.process_bulk(name, values, weights)
+                engine.answer(JoinCountQuery("f", "g"))
+                RECORDER.tick()
+        finally:
+            PROFILER.stop()
+        assert self._attributed(), "no sample landed in a skim/join span"
+        assert any("engine.elements.seen" in f.counts for f in RECORDER.frames())
+        snapshot = PROFILER.snapshot()
+        assert validate_profile(from_jsonl(to_jsonl(snapshot))) == snapshot
+        stacks = parse_collapsed(profile_to_collapsed(snapshot))
+        assert sum(stacks.values()) == len(snapshot["samples"])
+        speedscope = validate_speedscope(profile_to_speedscope(snapshot))
+        exported = sum(len(p["samples"]) for p in speedscope["profiles"])
+        assert exported == len(snapshot["samples"])
 
 
 class TestEventsCountOnce:

@@ -5,9 +5,11 @@
   count);
 * one non-finite rule: NaN and infinities cross the wire as strict JSON
   and come back as floats, and render as Prometheus literals;
-* one validator: any JSON value either validates or raises
-  ``ValueError`` — never ``TypeError``/``KeyError``/``AttributeError``,
-  and a boolean is never an int;
+* one validator: any JSON value either validates or raises a
+  ``ReproError`` (``ParameterError``, still a ``ValueError``) — never
+  ``TypeError``/``KeyError``/``AttributeError``, and a boolean is never
+  an int; any text either decodes to a valid document or raises a
+  ``ReproError``, through the telemetry and the JSONL decoders alike;
 * one renderer: the ``/metrics`` body for a fixed registry and audit
   state, and the federated body for the same state, match the bytes the
   two separate renderers produced before they were folded into one.
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ReproError
 from repro.federate import FederatedSource, TelemetryShipper
 from repro.monitor import AuditLog, DriftAlert, QueryAudit
 from repro.monitor.service import MonitorServer, MonitorSource
@@ -32,6 +35,7 @@ from repro.obs import (
     METRICS,
     TELEMETRY_KIND,
     empty_telemetry,
+    from_jsonl,
     snapshot_to_prometheus,
     telemetry_from_json,
     telemetry_to_json,
@@ -188,11 +192,40 @@ documents = st.fixed_dictionaries(
 def test_validate_returns_a_document_or_raises_value_error(value):
     try:
         doc = validate_telemetry(value)
-    except ValueError:
+    except ReproError as exc:
+        assert isinstance(exc, ValueError)  # callers catching ValueError hold
         return
     assert doc is value
     # A valid document survives the wire.
     validate_telemetry(telemetry_from_json(telemetry_to_json(doc)))
+
+
+def _text(value) -> str:
+    return json.dumps(value, allow_nan=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=40),
+        st.one_of(json_values, documents).map(_text),
+        st.lists(st.one_of(json_values, documents).map(_text), max_size=3).map(
+            "\n".join
+        ),
+    )
+)
+def test_decoders_return_a_document_or_raise_repro_error(text):
+    """Outside text through either decoder: a valid document, or a
+    ``ReproError`` — never a bare ``json.JSONDecodeError``."""
+    try:
+        validate_telemetry(telemetry_from_json(text))
+    except ReproError:
+        pass
+    try:
+        doc = from_jsonl(text)
+    except ReproError:
+        return
+    assert isinstance(doc, dict) and isinstance(doc["kind"], str)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +288,7 @@ def _gone():
 
 def _metrics_bodies() -> tuple[str, str]:
     reg, log, sites = _golden_state()
-    source = MonitorSource(reg.snapshot, log.snapshot)
+    source = MonitorSource(reg.snapshot, log)
     origins = {"coordinator": lambda: (reg.snapshot(), 0.0), "site.gone": _gone}
     for name, doc in sites.items():
         origins[name] = (lambda d=doc: (d, 0.0))

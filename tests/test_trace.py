@@ -11,22 +11,19 @@ import numpy as np
 import pytest
 
 import repro.trace
+from repro.obs import from_jsonl, read_jsonl, to_jsonl, write_jsonl
+from repro.obs.__main__ import main as obs_main
 from repro.trace import (
     TRACER,
     Span,
     SpanTracer,
     capturing,
-    read_trace_jsonl,
     render_summary,
     summarize_trace,
-    trace_from_jsonl,
     trace_to_chrome,
-    trace_to_jsonl,
     validate_trace,
     write_trace_chrome,
-    write_trace_jsonl,
 )
-from repro.trace.__main__ import main as trace_main
 
 
 class TestSpanTracer:
@@ -110,13 +107,13 @@ class TestWireFormats:
 
     def test_jsonl_round_trip(self):
         snap = self._sample()
-        assert trace_from_jsonl(trace_to_jsonl(snap)) == snap
+        assert validate_trace(from_jsonl(to_jsonl(snap))) == snap
 
     def test_jsonl_file_round_trip(self, tmp_path):
         path = tmp_path / "t.jsonl"
         snap = self._sample()
-        write_trace_jsonl(str(path), snap)
-        assert read_trace_jsonl(str(path)) == snap
+        write_jsonl(str(path), snap)
+        assert validate_trace(read_jsonl(str(path))) == snap
         # Header is the first line; spans follow one per line.
         lines = path.read_text().splitlines()
         assert json.loads(lines[0])["kind"] == "repro.trace"
@@ -138,7 +135,7 @@ class TestWireFormats:
         ],
     )
     def test_validate_rejects_malformed(self, mutate):
-        snap = json.loads(trace_to_jsonl(self._sample()).splitlines()[0])
+        snap = json.loads(to_jsonl(self._sample()).splitlines()[0])
         snap["spans"] = self._sample()["spans"]
         mutate(snap)
         with pytest.raises(ValueError):
@@ -189,25 +186,28 @@ class TestTraceCLI:
         with tracer.span("engine.answer", query="JoinSizeQuery"):
             with tracer.span("skim", kind="dyadic"):
                 pass
-        write_trace_jsonl(str(path), tracer.snapshot())
+        write_jsonl(str(path), tracer.snapshot())
 
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
         self._write_sample(path)
-        assert trace_main(["validate", str(path)]) == 0
+        assert obs_main(["validate", str(path)]) == 0
         assert "ok" in capsys.readouterr().out
 
     def test_validate_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"version": 99}\n')
-        assert trace_main(["validate", str(bad)]) == 1
-        assert trace_main(["validate", str(tmp_path / "missing.jsonl")]) == 1
+        assert obs_main(["validate", str(bad)]) == 1
+        bad.write_text('{"version": 99, "kind": "repro.trace"}\n')
+        assert obs_main(["validate", str(bad)]) == 1
+        assert "unsupported trace version 99" in capsys.readouterr().err
+        assert obs_main(["validate", str(tmp_path / "missing.jsonl")]) == 1
 
     def test_convert_produces_loadable_chrome_json(self, tmp_path):
         src = tmp_path / "t.jsonl"
         dst = tmp_path / "t.chrome.json"
         self._write_sample(src)
-        assert trace_main(["convert", str(src), str(dst)]) == 0
+        assert obs_main(["convert", str(src), str(dst)]) == 0
         chrome = json.loads(dst.read_text())
         assert {e["name"] for e in chrome["traceEvents"]} >= {
             "engine.answer",
@@ -217,9 +217,12 @@ class TestTraceCLI:
     def test_summarize(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
         self._write_sample(path)
-        assert trace_main(["summarize", str(path)]) == 0
+        assert obs_main(["summary", str(path)]) == 0
         out = capsys.readouterr().out
         assert "engine.answer" in out and "skim" in out
+        assert obs_main(["summary", str(path), "--limit", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "engine.answer" in out and "skim" not in out
 
 
 class TestEndToEnd:
@@ -354,17 +357,10 @@ class TestImportCost:
         return str(pathlib.Path(repro.trace.__file__).parent.parent)
 
     def test_trace_does_not_import_numpy(self):
-        # 'trace' collides with the stdlib module of the same name, so
-        # import the package via importlib with an explicit location.
         code = (
-            "import importlib.util, pathlib, sys; "
-            "pkg = pathlib.Path({path!r}) / 'trace' / '__init__.py'; "
-            "spec = importlib.util.spec_from_file_location('repro_trace', pkg); "
-            "mod = importlib.util.module_from_spec(spec); "
-            "sys.modules['repro_trace'] = mod; "
-            "spec.loader.exec_module(mod); "
+            "import sys; sys.path.insert(0, {path!r}); import repro.trace; "
             "assert 'numpy' not in sys.modules, 'repro.trace must not import numpy'"
-        ).format(path=self._package_parent_dir())
+        ).format(path=str(pathlib.Path(repro.trace.__file__).parents[2]))
         subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_bench_does_not_import_numpy(self):
